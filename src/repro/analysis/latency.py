@@ -73,22 +73,29 @@ def average_latency_cycles(
         raise ValueError(
             f"traffic has {traffic.n_nodes} nodes, topology has {topo.n_nodes}"
         )
+    if packet_flits < 1:
+        raise ValueError(f"packet size must be >= 1 flit, got {packet_flits}")
     rt = routing if routing is not None else RoutingTable(topo)
     m = traffic.matrix
     total = m.sum()
     if total == 0:
         raise ValueError("cannot average latency over zero traffic")
-    weighted = 0.0
-    n = topo.n_nodes
-    for s in range(n):
-        nz = np.nonzero(m[s])[0]
-        for d in nz:
-            weighted += m[s, d] * path_latency_cycles(
-                topo,
-                s,
-                int(d),
-                rt,
-                router_pipeline=router_pipeline,
-                packet_flits=packet_flits,
-            )
+    # Per-pair latency (integer cycles) from prefix sums of the per-link
+    # costs along the table's CSR routes.
+    hop_cost = np.fromiter(
+        (router_pipeline + link_latency_cycles(l.technology) for l in topo.links),
+        dtype=np.int64,
+        count=topo.n_links,
+    )
+    along = np.zeros(rt.path_links.size + 1, dtype=np.int64)
+    np.cumsum(hop_cost[rt.path_links], out=along[1:])
+    offsets = rt.path_offsets
+    latency = along[offsets[1:]] - along[offsets[:-1]]
+    # Ejection through the destination router plus serialization.
+    latency += router_pipeline + packet_flits - 1
+    # Sequential sum over the row-major nonzeros: the same float additions,
+    # in the same order, as a per-pair loop.
+    rates = m.reshape(-1)
+    nz = np.flatnonzero(rates)
+    weighted = np.add.accumulate(rates[nz] * latency[nz])[-1]
     return float(weighted / total)

@@ -72,10 +72,10 @@ def _materialize(spec: TopologySpec) -> tuple[Topology, RoutingTable]:
     """Build (topology, routing) once per distinct spec in this process.
 
     Multi-point sweeps share one topology across many scenarios; reusing
-    the routing table keeps its memoized path cache warm instead of
-    rebuilding it per point (the routing-table build is a tracked hot
+    the routing table keeps its all-pairs route arrays instead of
+    rebuilding them per point (the routing-table build is a tracked hot
     path). Sharing is safe: both objects are immutable with respect to
-    evaluation, and the path memo is deterministic.
+    evaluation (the route arrays are read-only).
     """
     topo = spec.build()
     return topo, RoutingTable(topo)

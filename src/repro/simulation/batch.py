@@ -23,8 +23,8 @@ fixtures and the Hypothesis differential tests pin that.
 
 How the vectorized pass stays exact:
 
-* **Shared family state.** Topology link tables, the fully memoized
-  routing LUT, dateline VC ranges and per-flit energy figures are
+* **Shared family state.** Topology link tables, the routing table's
+  all-pairs next-link LUT, dateline VC ranges and per-flit energy figures are
   computed once per (topology, config) *family* and shared by every run
   in every batch — not rebuilt per run as the interpreter does.
 * **Batch lockstep.** Per-(run, router, port, VC) state lives in arrays
@@ -185,14 +185,9 @@ class _Family:
             dest[link.link_id] = base + in_keys[node].index(link.link_id) * v
         self.dest_slot = dest
 
-        # Dense routing LUT: memoized RoutingTable.next_link for every
-        # (node, destination) pair, shared by every run of the family.
-        lut = np.full((n, n), -1, dtype=np.int64)
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    lut[src, dst] = routing.next_link(src, dst).link_id
-        self.route_lut = lut
+        # Dense routing LUT: the table's (node, destination) -> first link
+        # id (read-only), shared by every run of the family.
+        self.route_lut = routing.next_link_lut
 
         self._energy_weights: tuple[list[float], list[float]] | None = None
         self.topology = topo

@@ -12,76 +12,91 @@ networks". For meshes with *horizontal* express links this means:
   back west from column 15 (4 hops instead of 12). This is exactly why the
   paper calls the Hops=15 network "effectively a 2D torus".
 
-Row routing is computed by BFS over the 1-D row graph (identical for every
-row) with deterministic tie-breaking that prefers monotone progress toward
-the destination, so ties resolve to plain X-Y behaviour. The next-hop
-function depends only on (current column, destination column), making
-routing memoryless — the cycle simulator's per-hop lookups and the
-analytical path enumeration provably agree.
+Each grid line's next hops come from a BFS over its 1-D link graph with
+deterministic tie-breaking that prefers monotone progress toward the
+destination, so ties resolve to plain X-Y behaviour. The next-hop function
+depends only on (current position, destination position), making routing
+memoryless — the cycle simulator's per-hop lookups and the analytical path
+enumeration provably agree.
+
+:class:`RoutingTable` walks every (src, dst) pair at once through those
+tables and keeps the routes as arrays (CSR paths, hop matrix, next-link
+lookup table); every all-pairs consumer reads the arrays directly.
 
 Deadlock note: detour routes create torus-like cyclic channel dependencies
 in a wormhole network; the simulator breaks them with dateline VC classes
 (see :mod:`repro.simulation.simulator`).
 """
 
+
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
+
+import numpy as np
 
 from repro.topology.graph import Link, LinkKind, Topology
 
 __all__ = ["route_path", "RoutingTable"]
 
+#: One grid line's link graph: per position, its sorted
+#: ``(next_pos, is_express)`` neighbours. Hashable, so equal lines share
+#: one next-hop table.
+LineGraph = tuple[tuple[tuple[int, bool], ...], ...]
 
-def _build_line_graph(
-    topo: Topology, dimension: int, index: int
-) -> dict[int, list[tuple[int, bool]]]:
-    """Adjacency of one grid line: position -> [(next_pos, is_express)].
 
-    ``dimension`` 0 = row ``index`` (column positions); ``dimension`` 1 =
-    column ``index`` (row positions). Lines are handled individually so
-    heterogeneous express placements (different rows owning different
-    express links) route correctly.
+def _line_graphs(topo: Topology) -> tuple[list[LineGraph], list[LineGraph]]:
+    """Link graphs of every row (column positions) and column (row positions).
+
+    Lines are handled individually so heterogeneous express placements
+    (different rows owning different express links) route correctly.
     """
-    size = topo.width if dimension == 0 else topo.height
-    neighbors: dict[int, list[tuple[int, bool]]] = {c: [] for c in range(size)}
+    rows: list[list[list[tuple[int, bool]]]] = [
+        [[] for _ in range(topo.width)] for _ in range(topo.height)
+    ]
+    cols: list[list[list[tuple[int, bool]]]] = [
+        [[] for _ in range(topo.height)] for _ in range(topo.width)
+    ]
     for link in topo.links:
         sx, sy = topo.coords(link.src)
         dx, dy = topo.coords(link.dst)
-        if dimension == 0:
-            if sy != index or dy != index:
-                continue
-            neighbors[sx].append((dx, link.kind is LinkKind.EXPRESS))
-        else:
-            if sx != index or dx != index:
-                continue
-            neighbors[sy].append((dy, link.kind is LinkKind.EXPRESS))
-    return neighbors
+        express = link.kind is LinkKind.EXPRESS
+        if sy == dy:
+            rows[sy][sx].append((dx, express))
+        elif sx == dx:
+            cols[sx][sy].append((dy, express))
+
+    def freeze(lines: list[list[list[tuple[int, bool]]]]) -> list[LineGraph]:
+        return [tuple(tuple(sorted(adj)) for adj in line) for line in lines]
+
+    return freeze(rows), freeze(cols)
 
 
-def _line_next_hop_table(
-    topo: Topology, dimension: int, index: int
-) -> list[list[int]]:
-    """``next_pos[cur][dst]`` for one grid line (-1 when cur == dst).
+@lru_cache(maxsize=256)
+def _line_next_hop_table(adj: LineGraph) -> np.ndarray:
+    """``next_pos[cur, dst]`` for one grid line (-1 when cur == dst).
 
     BFS distances from every destination; among shortest-path neighbours
     the tie-break prefers (1) a regular step toward the destination,
     (2) an express toward the destination, (3) any other shortest option in
     ascending position order — so plain-mesh behaviour falls out wherever a
     detour does not strictly win.
+
+    Memoized on the line's adjacency content: a uniform grid has only a
+    couple of distinct line graphs. The returned table is read-only.
     """
-    width = topo.width if dimension == 0 else topo.height
-    adj = _build_line_graph(topo, dimension, index)
-    # dist[d][c]: hops from column c to destination column d.
-    table = [[-1] * width for _ in range(width)]
+    width = len(adj)
+    table = np.full((width, width), -1, dtype=np.int64)
     for dst in range(width):
+        # dist[c]: hops from position c to dst.
         dist = [-1] * width
         dist[dst] = 0
         queue = deque([dst])
         while queue:
             cur = queue.popleft()
             for nxt, _ in adj[cur]:
-                # Row links are bidirectional, so reverse BFS can reuse adj.
+                # Line links are bidirectional, so reverse BFS can reuse adj.
                 if dist[nxt] < 0:
                     dist[nxt] = dist[cur] + 1
                     queue.append(nxt)
@@ -107,8 +122,69 @@ def _line_next_hop_table(
                     order = 2
                 return (order, nxt)
 
-            table[cur][dst] = min(candidates, key=rank)[0]
+            table[cur, dst] = min(candidates, key=rank)[0]
+    table.flags.writeable = False
     return table
+
+
+def _link_lookup(topo: Topology) -> np.ndarray:
+    """Dense ``[src, dst] -> link id`` table, -1 where no link exists.
+
+    Of parallel links the first wins, as in :meth:`Topology.find_link`.
+    """
+    n = topo.n_nodes
+    keys = np.fromiter(
+        (link.src * n + link.dst for link in topo.links),
+        dtype=np.int64,
+        count=topo.n_links,
+    )
+    _, first = np.unique(keys, return_index=True)
+    lut = np.full(n * n, -1, dtype=np.int64)
+    lut[keys[first]] = first  # links[i].link_id == i
+    return lut.reshape(n, n)
+
+
+def _walk_all_pairs(
+    topo: Topology, row_next: np.ndarray, col_next: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every route as CSR ``(offsets, link ids)``, pair ``p = src * N + dst``.
+
+    All pairs advance one hop per step together: X phase by the row's
+    next-hop table, then Y phase by the column's.
+    """
+    w, n = topo.width, topo.n_nodes
+    link_of = _link_lookup(topo)
+    pairs = np.arange(n * n, dtype=np.int64)
+    dst = pairs % n
+    cur = pairs // n
+    tx, ty = dst % w, dst // w
+    hops = np.zeros(n * n, dtype=np.int64)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []  # (walking pairs, links)
+    active = pairs[cur != dst]
+    while active.size:
+        if len(steps) > 4 * (topo.width + topo.height):  # pragma: no cover
+            raise RuntimeError("routing loop")
+        here = cur[active]
+        cx, cy = here % w, here // w
+        ax, ay = tx[active], ty[active]
+        in_x = cx != ax
+        nx = np.where(in_x, row_next[cy, cx, ax], cx)
+        ny = np.where(in_x, cy, col_next[cx, cy, ay])
+        nxt = ny * w + nx
+        links = link_of[here, nxt]
+        if (links < 0).any():  # pragma: no cover - adjacency invariant
+            bad = int(np.argmax(links < 0))
+            raise RuntimeError(f"no link {here[bad]} -> {nxt[bad]}")
+        steps.append((active, links))
+        hops[active] += 1
+        cur[active] = nxt
+        active = active[nxt != dst[active]]
+    offsets = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(hops, out=offsets[1:])
+    flat = np.empty(int(offsets[-1]), dtype=np.int64)
+    for k, (walking, links) in enumerate(steps):
+        flat[offsets[walking] + k] = links
+    return offsets, flat
 
 
 def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
@@ -123,53 +199,49 @@ def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
 class RoutingTable:
     """All-pairs deterministic router for one topology.
 
-    Paths are derived from a per-row next-hop table (X phase) plus monotone
-    Y steps, memoized per (src, dst).
+    Every route is computed once, at construction, and kept as read-only
+    arrays over the N² pairs ``p = src * N + dst``:
+
+    * ``path_offsets`` (N² + 1) and ``path_links``: the routes in CSR
+      form. Pair ``p`` owns ``path_links[path_offsets[p]:path_offsets[p + 1]]``,
+      its link ids in path order; pairs follow each other in ``p`` order.
+    * ``hop_matrix`` (N x N): links per route, 0 on the diagonal.
+    * ``next_link_lut`` (N x N): the first link of each route (the link a
+      router forwards on), -1 on the diagonal.
     """
 
     def __init__(self, topo: Topology):
         self.topology = topo
-        self._row_next = [
-            _line_next_hop_table(topo, 0, y) for y in range(topo.height)
-        ]
-        self._col_next = [
-            _line_next_hop_table(topo, 1, x) for x in range(topo.width)
-        ]
-        self._paths: dict[tuple[int, int], tuple[Link, ...]] = {}
+        rows, cols = _line_graphs(topo)
+        row_next = np.stack([_line_next_hop_table(g) for g in rows])
+        col_next = np.stack([_line_next_hop_table(g) for g in cols])
+        self.path_offsets, self.path_links = _walk_all_pairs(
+            topo, row_next, col_next
+        )
+        n = topo.n_nodes
+        lengths = np.diff(self.path_offsets)
+        self.hop_matrix = lengths.reshape(n, n)
+        first = np.full(n * n, -1, dtype=np.int64)
+        routed = lengths > 0
+        first[routed] = self.path_links[self.path_offsets[:-1][routed]]
+        self.next_link_lut = first.reshape(n, n)
+        for arr in (
+            self.path_offsets, self.path_links, self.hop_matrix, self.next_link_lut
+        ):
+            arr.flags.writeable = False
 
-    def _next_node(self, current: int, dst: int) -> int:
-        """Next node on the route (X phase via the row's table, then Y via
-        the column's table — both support express/wrap detours, and every
-        line has its own table so heterogeneous placements route right)."""
-        topo = self.topology
-        cx, cy = topo.coords(current)
-        dx, dy = topo.coords(dst)
-        if cx != dx:
-            return topo.node_id(self._row_next[cy][cx][dx], cy)
-        return topo.node_id(cx, self._col_next[cx][cy][dy])
+    def _pair(self, src: int, dst: int) -> int:
+        n = self.topology.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"node pair ({src}, {dst}) outside 0..{n - 1}")
+        return src * n + dst
 
     def path(self, src: int, dst: int) -> tuple[Link, ...]:
-        """Ordered links from ``src`` to ``dst`` (cached)."""
-        key = (src, dst)
-        cached = self._paths.get(key)
-        if cached is None:
-            topo = self.topology
-            links: list[Link] = []
-            node = src
-            guard = 0
-            while node != dst:
-                nxt = self._next_node(node, dst)
-                link = topo.find_link(node, nxt)
-                if link is None:  # pragma: no cover - adjacency invariant
-                    raise RuntimeError(f"no link {node} -> {nxt}")
-                links.append(link)
-                node = nxt
-                guard += 1
-                if guard > 4 * (topo.width + topo.height):  # pragma: no cover
-                    raise RuntimeError(f"routing loop from {src} to {dst}")
-            cached = tuple(links)
-            self._paths[key] = cached
-        return cached
+        """Ordered links from ``src`` to ``dst``."""
+        p = self._pair(src, dst)
+        lo, hi = self.path_offsets[p : p + 2]
+        links = self.topology.links
+        return tuple(links[i] for i in self.path_links[lo:hi].tolist())
 
     def path_list(self, src: int, dst: int) -> list[Link]:
         """``path`` as a fresh list (the legacy ``route_path`` contract)."""
@@ -177,26 +249,15 @@ class RoutingTable:
 
     def hop_count(self, src: int, dst: int) -> int:
         """Number of links traversed from ``src`` to ``dst``."""
-        return len(self.path(src, dst))
+        self._pair(src, dst)
+        return int(self.hop_matrix[src, dst])
 
     def next_link(self, current: int, dst: int) -> Link:
         """The link a router at ``current`` forwards toward ``dst``.
 
         Memoryless: equals the first link of :meth:`path` from ``current``.
         """
+        self._pair(current, dst)
         if current == dst:
             raise ValueError("already at destination")
-        topo = self.topology
-        nxt = self._next_node(current, dst)
-        link = topo.find_link(current, nxt)
-        if link is None:  # pragma: no cover - adjacency invariant
-            raise RuntimeError(f"no link {current} -> {nxt}")
-        return link
-
-    def build_all(self) -> None:
-        """Force-populate the full all-pairs table."""
-        n = self.topology.n_nodes
-        for s in range(n):
-            for d in range(n):
-                if s != d:
-                    self.path(s, d)
+        return self.topology.links[int(self.next_link_lut[current, dst])]
