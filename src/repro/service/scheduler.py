@@ -141,6 +141,9 @@ class ExperimentScheduler:
         self._started_at = time.monotonic()
         self._enqueued_at: dict[str, float] = {}
         self._job_spans: dict[str, list[SpanRecord]] = {}
+        # Jobs inside _execute: their terminal state is not yet settled
+        # for wait() until their spans are stored.
+        self._executing: set[str] = set()
         self._trace_parents: dict[str, str | None] = {}
         # Sweep introspection: the durable per-job run ledger, the live
         # progress tracker, and per-point profile captures (opt-in).
@@ -311,11 +314,17 @@ class ExperimentScheduler:
             ]
 
     def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
-        """Block until ``job_id`` reaches a terminal state."""
+        """Block until ``job_id`` reaches a terminal state.
+
+        A job's terminal state counts only once the dispatcher has stored
+        its spans, so :meth:`job_spans` is complete when this returns.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            record = self.job(job_id)
-            if record.state in ("done", "failed"):
+            with self._lock:
+                record = self.job(job_id)
+                settled = job_id not in self._executing
+            if settled and record.state in ("done", "failed"):
                 return record
             if time.monotonic() >= deadline:
                 raise TimeoutError(
@@ -594,6 +603,7 @@ class ExperimentScheduler:
         with self._lock:
             enqueued = self._enqueued_at.pop(job_id, None)
             trace_parent = self._trace_parents.pop(job_id, None)
+            self._executing.add(job_id)
         if enqueued is not None:
             _DISPATCH_MS.observe((time.monotonic() - enqueued) * 1e3)
         take_spans()  # drop stray spans so the job's trace starts clean
@@ -606,8 +616,11 @@ class ExperimentScheduler:
         finally:
             adopt_parent(None)
             self.tracker.job_finished(job_id)
-        with self._lock:
-            self._job_spans[job_id] = take_spans()
+            # _execute_inner publishes the terminal state before the
+            # service.job span closes; wait() sees it only from here on.
+            with self._lock:
+                self._job_spans[job_id] = take_spans()
+                self._executing.discard(job_id)
 
     def _execute_inner(self, job_id: str) -> None:
         with self._lock:

@@ -405,6 +405,30 @@ class TestScheduler:
         with pytest.raises(JobNotFound):
             sched.job_spans("job-999999")
 
+    def test_wait_returns_only_after_job_spans_are_stored(
+        self, tmp_path, monkeypatch
+    ):
+        # The job's terminal state is published before its service.job
+        # span closes and its spans are stored; a slow step in between
+        # widens that window, and wait() must still cover it.
+        import time
+
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        real_job_finished = sched.tracker.job_finished
+
+        def slow_job_finished(job_id):
+            time.sleep(0.3)
+            real_job_finished(job_id)
+
+        monkeypatch.setattr(sched.tracker, "job_finished", slow_job_finished)
+        try:
+            record = sched.submit(quick_request())
+            sched.wait(record.job_id, timeout=120)
+            names = {s.name for s in sched.job_spans(record.job_id)}
+        finally:
+            sched.stop()
+        assert "service.job" in names
+
     def test_uptime_and_queue_depth(self, tmp_path):
         sched = ExperimentScheduler(tmp_path, auto_start=False)
         assert sched.uptime_s() >= 0
