@@ -32,7 +32,7 @@ in a wormhole network; the simulator breaks them with dateline VC classes
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,46 +144,62 @@ def _link_lookup(topo: Topology) -> np.ndarray:
     return lut.reshape(n, n)
 
 
-def _walk_all_pairs(
+def _first_links(
     topo: Topology, row_next: np.ndarray, col_next: np.ndarray
+) -> np.ndarray:
+    """``[src, dst] -> first link id`` of every route, -1 on the diagonal.
+
+    One hop for all N² pairs at once: by the source row's next-hop table
+    while the columns differ (X phase), else by the column's (Y phase).
+    """
+    w, n = topo.width, topo.n_nodes
+    src = np.arange(n)[:, None]
+    dst = np.arange(n)[None, :]
+    sx, sy, dx, dy = src % w, src // w, dst % w, dst // w
+    nxt = np.where(
+        sx != dx, sy * w + row_next[sy, sx, dx], col_next[sx, sy, dy] * w + sx
+    )
+    np.fill_diagonal(nxt, 0)  # no hop; masked below
+    first = _link_lookup(topo)[src, nxt]
+    np.fill_diagonal(first, -1)
+    if (first < 0).sum() > n:  # pragma: no cover - adjacency invariant
+        s, d = np.argwhere((first < 0) & (src != dst))[0]
+        raise RuntimeError(f"no link {s} -> {nxt[s, d]}")
+    return first
+
+
+def _walk_all_pairs(
+    topo: Topology, next_link_lut: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every route as CSR ``(offsets, link ids)``, pair ``p = src * N + dst``.
 
-    All pairs advance one hop per step together: X phase by the row's
-    next-hop table, then Y phase by the column's.
+    Routing is memoryless, so all pairs advance together, one hop per
+    step, each through the next-link table of the node it has reached.
     """
-    w, n = topo.width, topo.n_nodes
-    link_of = _link_lookup(topo)
-    pairs = np.arange(n * n, dtype=np.int64)
-    dst = pairs % n
-    cur = pairs // n
-    tx, ty = dst % w, dst // w
+    n = topo.n_nodes
+    lut = next_link_lut.reshape(-1)
+    link_dst = np.fromiter(
+        (link.dst for link in topo.links), dtype=np.int64, count=topo.n_links
+    )
+    active = np.flatnonzero(lut >= 0)  # every pair with src != dst
+    dst = active % n
+    links = lut[active]
     hops = np.zeros(n * n, dtype=np.int64)
     steps: list[tuple[np.ndarray, np.ndarray]] = []  # (walking pairs, links)
-    active = pairs[cur != dst]
     while active.size:
         if len(steps) > 4 * (topo.width + topo.height):  # pragma: no cover
             raise RuntimeError("routing loop")
-        here = cur[active]
-        cx, cy = here % w, here // w
-        ax, ay = tx[active], ty[active]
-        in_x = cx != ax
-        nx = np.where(in_x, row_next[cy, cx, ax], cx)
-        ny = np.where(in_x, cy, col_next[cx, cy, ay])
-        nxt = ny * w + nx
-        links = link_of[here, nxt]
-        if (links < 0).any():  # pragma: no cover - adjacency invariant
-            bad = int(np.argmax(links < 0))
-            raise RuntimeError(f"no link {here[bad]} -> {nxt[bad]}")
         steps.append((active, links))
         hops[active] += 1
-        cur[active] = nxt
-        active = active[nxt != dst[active]]
+        here = link_dst[links]
+        walking = here != dst
+        active, dst, here = active[walking], dst[walking], here[walking]
+        links = lut[here * n + dst]
     offsets = np.zeros(n * n + 1, dtype=np.int64)
     np.cumsum(hops, out=offsets[1:])
     flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    for k, (walking, links) in enumerate(steps):
-        flat[offsets[walking] + k] = links
+    for k, (walking_pairs, step_links) in enumerate(steps):
+        flat[offsets[walking_pairs] + k] = step_links
     return offsets, flat
 
 
@@ -196,18 +212,26 @@ def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
     return RoutingTable(topo).path_list(src, dst)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 class RoutingTable:
     """All-pairs deterministic router for one topology.
 
-    Every route is computed once, at construction, and kept as read-only
-    arrays over the N² pairs ``p = src * N + dst``:
+    Routes are read-only arrays over the N² pairs ``p = src * N + dst``:
 
-    * ``path_offsets`` (N² + 1) and ``path_links``: the routes in CSR
+    * ``next_link_lut`` (N x N): the first link of each route (the link a
+      router forwards on), -1 on the diagonal. Built at construction.
+    * ``path_offsets`` (N² + 1) and ``path_links``: every route in CSR
       form. Pair ``p`` owns ``path_links[path_offsets[p]:path_offsets[p + 1]]``,
       its link ids in path order; pairs follow each other in ``p`` order.
     * ``hop_matrix`` (N x N): links per route, 0 on the diagonal.
-    * ``next_link_lut`` (N x N): the first link of each route (the link a
-      router forwards on), -1 on the diagonal.
+
+    The CSR routes and the hop matrix come from one vectorized walk of
+    all pairs, run on first use: the simulators need only the next-link
+    table.
     """
 
     def __init__(self, topo: Topology):
@@ -215,20 +239,25 @@ class RoutingTable:
         rows, cols = _line_graphs(topo)
         row_next = np.stack([_line_next_hop_table(g) for g in rows])
         col_next = np.stack([_line_next_hop_table(g) for g in cols])
-        self.path_offsets, self.path_links = _walk_all_pairs(
-            topo, row_next, col_next
-        )
-        n = topo.n_nodes
-        lengths = np.diff(self.path_offsets)
-        self.hop_matrix = lengths.reshape(n, n)
-        first = np.full(n * n, -1, dtype=np.int64)
-        routed = lengths > 0
-        first[routed] = self.path_links[self.path_offsets[:-1][routed]]
-        self.next_link_lut = first.reshape(n, n)
-        for arr in (
-            self.path_offsets, self.path_links, self.hop_matrix, self.next_link_lut
-        ):
-            arr.flags.writeable = False
+        self.next_link_lut = _read_only(_first_links(topo, row_next, col_next))
+
+    @cached_property
+    def _routes(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets, links = _walk_all_pairs(self.topology, self.next_link_lut)
+        return _read_only(offsets), _read_only(links)
+
+    @property
+    def path_offsets(self) -> np.ndarray:
+        return self._routes[0]
+
+    @property
+    def path_links(self) -> np.ndarray:
+        return self._routes[1]
+
+    @cached_property
+    def hop_matrix(self) -> np.ndarray:
+        n = self.topology.n_nodes
+        return _read_only(np.diff(self.path_offsets).reshape(n, n))
 
     def _pair(self, src: int, dst: int) -> int:
         n = self.topology.n_nodes
