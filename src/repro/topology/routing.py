@@ -46,6 +46,11 @@ __all__ = ["route_path", "RoutingTable"]
 LineGraph = tuple[tuple[tuple[int, bool], ...], ...]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def _line_graphs(topo: Topology) -> tuple[list[LineGraph], list[LineGraph]]:
     """Link graphs of every row (column positions) and column (row positions).
 
@@ -123,8 +128,7 @@ def _line_next_hop_table(adj: LineGraph) -> np.ndarray:
                 return (order, nxt)
 
             table[cur, dst] = min(candidates, key=rank)[0]
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 def _link_lookup(topo: Topology) -> np.ndarray:
@@ -210,11 +214,6 @@ def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
     :class:`RoutingTable` for repeated queries.
     """
     return RoutingTable(topo).path_list(src, dst)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 class RoutingTable:
