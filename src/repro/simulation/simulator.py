@@ -51,7 +51,7 @@ from repro.simulation.router import LOCAL_PORT, RouterState
 from repro.tech.parameters import Technology
 from repro.topology.graph import LinkKind, Topology
 from repro.topology.routing import RoutingTable
-from repro.traffic.trace import Trace
+from repro.traffic.trace import COLUMNS, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telemetry -> sim)
     from repro.control.controllers import ControlSession, ControlTrace
@@ -351,15 +351,12 @@ class Simulator:
         occ_mask = [0] * n_nodes
         in_vcs = [{k: p.vcs for k, p in r.in_ports.items()} for r in routers]
 
+        cols = trace.columns()
         packets = [
-            Packet(
-                packet_id=i,
-                src=rec.src,
-                dst=rec.dst,
-                size_flits=rec.size_flits,
-                inject_time=rec.time,
+            Packet(packet_id=i, src=s, dst=d, size_flits=f, inject_time=t)
+            for i, (t, s, d, f) in enumerate(
+                zip(*(cols[key].tolist() for key in COLUMNS))
             )
-            for i, rec in enumerate(trace.packets)
         ]
         n_flits = trace.total_flits
         if closed_loop is not None:

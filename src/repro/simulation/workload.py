@@ -20,7 +20,7 @@ from repro.simulation.simulator import SimConfig, Simulator
 from repro.topology.graph import Topology
 from repro.topology.routing import RoutingTable
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+from repro.traffic.trace import MAX_PACKET_FLITS, Trace
 from repro.util.rng import SeedLike, ensure_rng
 
 __all__ = ["synthetic_trace", "LoadPoint", "latency_throughput_sweep"]
@@ -74,24 +74,51 @@ def synthetic_trace(
         where=tm.matrix.sum(axis=1, keepdims=True) > 0,
     )
 
-    records: list[PacketRecord] = []
+    # Exactly the draws the per-packet rng.choice(n, p=row) loop made:
+    # choice with p and no size checks the row, takes one random() and
+    # maps it through the row's normalized CDF. Checking and building the
+    # CDF once per source and searching all of a source's uniforms at once
+    # leaves the stream, and so every packet, unchanged.
+    geometric, uniform = rng.geometric, rng.random
+    parts = []
     for s in range(n):
         if rates[s] <= 0:
             continue
+        p_pkt = min(1.0, rates[s])
+        cdf = _choice_cdf(dest_probs[s])
+        times: list[int] = []
+        draws: list[float] = []
         # Geometric inter-arrival sampling is O(packets), not O(cycles).
-        t = int(rng.geometric(min(1.0, rates[s]))) - 1
+        t = int(geometric(p_pkt)) - 1
         while t < cycles:
-            # No self-draw filtering needed: TrafficMatrix enforces a zero
-            # diagonal, so dest_probs[s][s] == 0 and every draw is a real
-            # injection — the effective rate matches the requested one.
-            d = int(rng.choice(n, p=dest_probs[s]))
-            records.append(PacketRecord(t, s, d, packet_flits))
-            t += int(rng.geometric(min(1.0, rates[s])))
-    return Trace(
+            times.append(t)
+            draws.append(uniform())
+            t += int(geometric(p_pkt))
+        # No self-draw filtering needed: TrafficMatrix enforces a zero
+        # diagonal, so dest_probs[s][s] == 0 and every draw is a real
+        # injection — the effective rate matches the requested one.
+        parts.append((s, times, cdf.searchsorted(draws, side="right")))
+    return Trace.from_sources(
         n,
-        records,
+        parts,
+        packet_flits=packet_flits,
         name=name or f"synthetic-r{injection_rate:g}-p{packet_flits}",
     )
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s checks and CDF for one probability row."""
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    p_sum = p.sum()
+    if np.isnan(p_sum):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p_sum - 1.0) > atol:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)

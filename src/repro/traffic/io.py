@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+import numpy as np
+
+from repro.traffic.trace import COLUMNS, MAX_PACKET_FLITS, Trace
 
 __all__ = ["save_trace", "load_trace", "load_external_trace"]
 
@@ -35,9 +37,10 @@ def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
         f"{_HEADER_PREFIX} nodes={trace.n_nodes} name={trace.name} "
         f"packets={trace.n_packets}"
     ]
+    cols = trace.columns()
     lines.extend(
-        f"{pkt.time} {pkt.src} {pkt.dst} {pkt.size_flits}"
-        for pkt in trace.packets
+        f"{t} {s} {d} {f}"
+        for t, s, d, f in zip(*(cols[key].tolist() for key in COLUMNS))
     )
     p.write_text("\n".join(lines) + "\n")
 
@@ -63,7 +66,7 @@ def load_trace(path: str | pathlib.Path) -> Trace:
         raise ValueError(f"{p}: bad header {lines[0]!r}") from exc
     name = header.get("name", p.stem)
 
-    packets: list[PacketRecord] = []
+    rows: list[list[int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -72,11 +75,10 @@ def load_trace(path: str | pathlib.Path) -> Trace:
         if len(parts) != 4:
             raise ValueError(f"{p}:{lineno}: expected 4 fields, got {line!r}")
         try:
-            time, src, dst, size = (int(x) for x in parts)
+            rows.append([int(x) for x in parts])
         except ValueError as exc:
             raise ValueError(f"{p}:{lineno}: non-integer field in {line!r}") from exc
-        packets.append(PacketRecord(time=time, src=src, dst=dst, size_flits=size))
-    return Trace(n_nodes, packets, name=name)
+    return _from_rows(n_nodes, rows, name)
 
 
 def load_external_trace(
@@ -156,7 +158,10 @@ def load_external_trace(
         if n_nodes is not None
         else max(max(r[1], r[2]) for r in rows) + 1
     )
-    packets = [
-        PacketRecord(time=t, src=s, dst=d, size_flits=f) for t, s, d, f in rows
-    ]
-    return Trace(max(nodes, 2), packets, name=name or p.stem)
+    return _from_rows(max(nodes, 2), rows, name or p.stem)
+
+
+def _from_rows(n_nodes: int, rows: list, name: str) -> Trace:
+    """A trace from ``(time, src, dst, size_flits)`` rows."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
+    return Trace.from_columns(n_nodes, *table.T, name=name)

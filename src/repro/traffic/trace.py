@@ -5,8 +5,8 @@ BookSim-compatible traces, with two packet sizes: "1 flit per packet and 32
 flits per packet. All large packets from the original network trace were
 split up into smaller packets".
 
-A :class:`Trace` is an ordered list of :class:`PacketRecord` injections.
-Traces are built from *messages* (src, dst, bytes) grouped into *phases*
+A :class:`Trace` holds its injections as four int64 columns (time, source,
+destination, size), ordered by (time, src, dst). Traces are built from *messages* (src, dst, bytes) grouped into *phases*
 (e.g. one all-to-all exchange); the scheduler serializes each source's
 packets at the injection bandwidth (1 flit/cycle) and separates phases by a
 configurable compute gap, mimicking the bulk-synchronous structure of the
@@ -16,17 +16,20 @@ simplification for energy accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.traffic.matrix import TrafficMatrix
 
 __all__ = [
     "FLIT_BYTES",
     "MAX_PACKET_FLITS",
+    "COLUMNS",
     "PacketRecord",
+    "PacketView",
     "Message",
     "Trace",
     "packetize_flits",
@@ -94,68 +97,205 @@ def packetize_flits(n_flits: int) -> list[int]:
     return [MAX_PACKET_FLITS] * full + [1] * rest
 
 
-@dataclass
+#: Column names of a trace, in :class:`PacketRecord` field order.
+COLUMNS = ("time", "src", "dst", "size_flits")
+
+
+def _validate_columns(n_nodes: int, cols: Sequence[np.ndarray]) -> None:
+    """Vectorized twin of :class:`PacketRecord`'s checks plus the endpoint
+    range; raises on the first offending row of the first failing check."""
+    time, src, dst, size = cols
+
+    def first(mask: np.ndarray) -> int | None:
+        hits = np.flatnonzero(mask)
+        return int(hits[0]) if hits.size else None
+
+    if (i := first(time < 0)) is not None:
+        raise ValueError(f"injection time must be >= 0, got {time[i]}")
+    if (i := first(src == dst)) is not None:
+        raise ValueError(f"packet to self at node {src[i]}")
+    if (i := first((size < 1) | (size > MAX_PACKET_FLITS))) is not None:
+        raise ValueError(
+            f"packet size must be 1..{MAX_PACKET_FLITS} flits, got {size[i]}"
+        )
+    outside = (src < 0) | (src >= n_nodes) | (dst < 0) | (dst >= n_nodes)
+    if (i := first(outside)) is not None:
+        pkt = PacketRecord(*(int(c[i]) for c in cols))
+        raise ValueError(f"packet endpoints outside 0..{n_nodes - 1}: {pkt}")
+
+
+class PacketView(Sequence[PacketRecord]):
+    """Read-only per-packet view of a :class:`Trace`'s columns.
+
+    Records are built on access and never cached. The view compares equal
+    to any sequence of the same records, so ``list_of_records ==
+    trace.packets`` keeps working.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: Sequence[np.ndarray]) -> None:
+        self._cols = tuple(cols)
+
+    def __len__(self) -> int:
+        return self._cols[0].shape[0]
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return list(PacketView([c[index] for c in self._cols]))
+        return PacketRecord(*(int(c[index]) for c in self._cols))
+
+    def __iter__(self) -> Iterator[PacketRecord]:
+        return (
+            PacketRecord(*row) for row in zip(*(c.tolist() for c in self._cols))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PacketView):
+            return all(map(np.array_equal, self._cols, other._cols))
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PacketView({len(self)} packets)"
+
+
 class Trace:
-    """An injection-ordered packet trace for ``n_nodes`` endpoints."""
+    """An injection-ordered packet trace for ``n_nodes`` endpoints.
 
-    n_nodes: int
-    packets: list[PacketRecord] = field(default_factory=list)
-    name: str = "trace"
+    The only storage is four read-only int64 columns (:data:`COLUMNS`),
+    stably sorted by ``(time, src, dst)``. Generators build traces with
+    :meth:`from_columns`; ``Trace(n_nodes, packets, name)`` adapts a
+    :class:`PacketRecord` list, converting it once. :attr:`packets` is a
+    per-packet view for the consumers that want records.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"trace needs >= 2 nodes, got {self.n_nodes}")
-        for pkt in self.packets:
-            self._check(pkt)
-        self.packets.sort(key=lambda p: (p.time, p.src, p.dst))
+    def __init__(
+        self,
+        n_nodes: int,
+        packets: Iterable[PacketRecord] = (),
+        name: str = "trace",
+    ) -> None:
+        rows = [(p.time, p.src, p.dst, p.size_flits) for p in packets]
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
+        self._store(n_nodes, table.T, name)
 
-    def _check(self, pkt: PacketRecord) -> None:
-        if not (0 <= pkt.src < self.n_nodes and 0 <= pkt.dst < self.n_nodes):
-            raise ValueError(f"packet endpoints outside 0..{self.n_nodes - 1}: {pkt}")
+    @classmethod
+    def from_columns(
+        cls,
+        n_nodes: int,
+        time: ArrayLike,
+        src: ArrayLike,
+        dst: ArrayLike,
+        size_flits: ArrayLike,
+        *,
+        name: str = "trace",
+    ) -> "Trace":
+        """Build a trace from per-packet columns in any row order.
+
+        Rows are validated like :class:`PacketRecord` (time >= 0, no
+        self-loops, endpoints in range, 1..32 flits) and stably sorted by
+        ``(time, src, dst)``. The inputs are copied, never aliased.
+        """
+        trace = cls.__new__(cls)
+        trace._store(n_nodes, (time, src, dst, size_flits), name)
+        return trace
+
+    @classmethod
+    def from_sources(
+        cls,
+        n_nodes: int,
+        parts: Sequence[tuple[int, ArrayLike, ArrayLike]],
+        *,
+        packet_flits: int,
+        name: str,
+    ) -> "Trace":
+        """Stack per-source ``(source, times, dsts)`` draws into one trace
+        of ``packet_flits``-flit packets (the open-loop generators' shape)."""
+        times = [np.asarray(t, dtype=np.int64) for _, t, _ in parts]
+        time = np.concatenate(times) if times else np.empty(0, np.int64)
+        return cls.from_columns(
+            n_nodes,
+            time,
+            np.repeat([s for s, _, _ in parts], [t.size for t in times]),
+            np.concatenate([d for _, _, d in parts]) if parts else time,
+            np.full(time.size, packet_flits),
+            name=name,
+        )
+
+    def _store(self, n_nodes: int, cols: Sequence[ArrayLike], name: str) -> None:
+        if n_nodes < 2:
+            raise ValueError(f"trace needs >= 2 nodes, got {n_nodes}")
+        arrays = [np.asarray(c, dtype=np.int64) for c in cols]
+        if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("trace columns must be 1-D and of equal length")
+        _validate_columns(n_nodes, arrays)
+        time, src, dst, _ = arrays
+        order = np.lexsort((dst, src, time))
+        self.n_nodes = int(n_nodes)
+        self.name = name
+        self._cols = {key: a[order] for key, a in zip(COLUMNS, arrays)}
+        for a in self._cols.values():
+            a.setflags(write=False)
+
+    def __reduce__(self):
+        # Pickle and copy would otherwise hand back writeable arrays.
+        return (_restore, (self.n_nodes, self.name, self._cols))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.n_nodes == other.n_nodes
+            and self.name == other.name
+            and all(np.array_equal(self._cols[k], other._cols[k]) for k in COLUMNS)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(n_nodes={self.n_nodes}, n_packets={self.n_packets}, "
+            f"name={self.name!r})"
+        )
+
+    @property
+    def packets(self) -> PacketView:
+        """Read-only per-packet records, in trace order."""
+        return PacketView([self._cols[k] for k in COLUMNS])
 
     @property
     def n_packets(self) -> int:
         """Total packets in the trace."""
-        return len(self.packets)
+        return int(self._cols["time"].shape[0])
 
     @property
     def total_flits(self) -> int:
         """Total flits across all packets."""
-        return sum(p.size_flits for p in self.packets)
+        return int(self._cols["size_flits"].sum())
 
     @property
     def duration_cycles(self) -> int:
         """Last injection time + 1 (0 for an empty trace)."""
-        if not self.packets:
-            return 0
-        return self.packets[-1].time + 1
+        time = self._cols["time"]
+        return int(time[-1]) + 1 if time.size else 0
 
     def columns(self) -> dict[str, np.ndarray]:
-        """Vectorized column view: ``time``/``src``/``dst``/``size_flits``
-        int64 arrays in packet order (the trace store, the statistics and
-        the batched engine all consume this). Built once and memoized —
-        traces are treated as immutable after construction, so callers
-        must not write to the returned arrays."""
-        cached = getattr(self, "_columns_cache", None)
-        if cached is None:
-            n = len(self.packets)
-            cached = {
-                "time": np.fromiter((p.time for p in self.packets), np.int64, n),
-                "src": np.fromiter((p.src for p in self.packets), np.int64, n),
-                "dst": np.fromiter((p.dst for p in self.packets), np.int64, n),
-                "size_flits": np.fromiter(
-                    (p.size_flits for p in self.packets), np.int64, n
-                ),
-            }
-            self._columns_cache = cached
-        return cached
+        """The stored ``time``/``src``/``dst``/``size_flits`` int64 columns
+        in packet order. The arrays are read-only and shared, not copied."""
+        return dict(self._cols)
 
     def flit_count_matrix(self) -> TrafficMatrix:
         """Per-pair flit counts (the paper's Table V input view)."""
-        m = np.zeros((self.n_nodes, self.n_nodes))
-        for p in self.packets:
-            m[p.src, p.dst] += p.size_flits
-        return TrafficMatrix(m, name=f"{self.name}-flits")
+        n = self.n_nodes
+        pair = self._cols["src"] * n + self._cols["dst"]
+        m = np.bincount(pair, weights=self._cols["size_flits"], minlength=n * n)
+        return TrafficMatrix(m.reshape(n, n), name=f"{self.name}-flits")
 
     def scaled(self, factor: float, *, name: str | None = None) -> "Trace":
         """Subsample packets to ~``factor`` of the trace, keeping order.
@@ -166,13 +306,25 @@ class Trace:
         if not 0 < factor <= 1:
             raise ValueError(f"scale factor must be in (0, 1], got {factor}")
         if factor == 1.0:
-            return Trace(self.n_nodes, list(self.packets), name=name or self.name)
-        stride = 1.0 / factor
-        picked = [
-            self.packets[int(i * stride)]
-            for i in range(int(len(self.packets) * factor))
-        ]
-        return Trace(self.n_nodes, picked, name=name or f"{self.name}-x{factor:g}")
+            picked = slice(None)
+            name = name or self.name
+        else:
+            stride = 1.0 / factor
+            count = int(self.n_packets * factor)
+            picked = (np.arange(count) * stride).astype(np.int64)
+            name = name or f"{self.name}-x{factor:g}"
+        return Trace.from_columns(
+            self.n_nodes, *(self._cols[k][picked] for k in COLUMNS), name=name
+        )
+
+
+def _restore(n_nodes: int, name: str, cols: dict[str, np.ndarray]) -> Trace:
+    """Unpickle a :class:`Trace` (columns already validated and sorted)."""
+    trace = Trace.__new__(Trace)
+    trace.n_nodes, trace.name, trace._cols = n_nodes, name, cols
+    for a in cols.values():
+        a.setflags(write=False)
+    return trace
 
 
 def schedule_phases(
@@ -200,16 +352,25 @@ def schedule_phases(
         raise ValueError(f"inter-phase gap must be >= 0, got {inter_phase_gap}")
     if flit_interval < 1:
         raise ValueError(f"flit interval must be >= 1, got {flit_interval}")
-    packets: list[PacketRecord] = []
+    time: list[int] = []
+    src: list[int] = []
+    dst: list[int] = []
+    size: list[int] = []
+    big_step = MAX_PACKET_FLITS * flit_interval
     phase_start = 0
     for phase in phases:
-        next_free = np.full(n_nodes, phase_start, dtype=np.int64)
+        next_free = [phase_start] * n_nodes
         for msg in phase:
-            for size in packetize_flits(msg.size_flits):
-                t = int(next_free[msg.src])
-                packets.append(
-                    PacketRecord(time=t, src=msg.src, dst=msg.dst, size_flits=size)
-                )
-                next_free[msg.src] = t + size * flit_interval
-        phase_start = int(next_free.max()) + inter_phase_gap
-    return Trace(n_nodes, packets, name=name)
+            # packetize_flits order: full 32-flit packets, then 1-flit ones.
+            full, rest = divmod(msg.size_flits, MAX_PACKET_FLITS)
+            t = next_free[msg.src]
+            mid = t + full * big_step
+            end = mid + rest * flit_interval
+            time.extend(range(t, mid, big_step))
+            time.extend(range(mid, end, flit_interval))
+            src.extend([msg.src] * (full + rest))
+            dst.extend([msg.dst] * (full + rest))
+            size.extend([MAX_PACKET_FLITS] * full + [1] * rest)
+            next_free[msg.src] = end
+        phase_start = max(next_free) + inter_phase_gap
+    return Trace.from_columns(n_nodes, time, src, dst, size, name=name)

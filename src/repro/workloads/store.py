@@ -21,9 +21,10 @@ Design points:
   the same :class:`~repro.traffic.trace.Trace` always serializes to the
   identical file. That makes trace files content-addressable and lets CI
   diff them.
-* **Streaming** — :func:`iter_trace_packets` yields packets without
-  materializing a :class:`Trace` (one list entry per packet); consumers
-  that want vectorized access use :func:`trace_columns` directly.
+* **Columnar** — :func:`load_trace_npz` hands the stored columns straight
+  to :meth:`Trace.from_columns`; :func:`iter_trace_packets` yields
+  per-packet records without building a :class:`Trace`, and
+  :func:`trace_columns` gives the raw vectorized view.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.traffic.trace import PacketRecord, Trace
+from repro.traffic.trace import COLUMNS, PacketRecord, PacketView, Trace
 
 __all__ = [
     "TRACE_FORMAT",
@@ -216,28 +217,17 @@ def trace_columns(
 
 
 def iter_trace_packets(path: str | pathlib.Path) -> Iterator[PacketRecord]:
-    """Stream a trace file's packets without building a full Trace.
-
-    Column arrays are held in memory (a few bytes per packet), but
-    :class:`PacketRecord` objects are materialized one at a time — the
-    per-packet Python-object overhead of :func:`load_trace_npz` never
-    accumulates.
-    """
+    """Stream a trace file's packets as :class:`PacketRecord` objects, built
+    one at a time from the column arrays (no :class:`Trace` is built)."""
     _, cols = trace_columns(path)
-    time, src, dst, size = (
-        cols["time"], cols["src"], cols["dst"], cols["size_flits"]
-    )
-    for i in range(time.shape[0]):
-        yield PacketRecord(int(time[i]), int(src[i]), int(dst[i]), int(size[i]))
+    yield from PacketView([cols[key] for key in COLUMNS])
 
 
 def load_trace_npz(path: str | pathlib.Path) -> Trace:
     """Load a trace file into a :class:`Trace` (exact save round-trip)."""
     header, cols = trace_columns(path)
-    packets = [
-        PacketRecord(int(t), int(s), int(d), int(f))
-        for t, s, d, f in zip(
-            cols["time"], cols["src"], cols["dst"], cols["size_flits"]
-        )
-    ]
-    return Trace(int(header["n_nodes"]), packets, name=str(header["name"]))
+    return Trace.from_columns(
+        int(header["n_nodes"]),
+        *(cols[key] for key in COLUMNS),
+        name=str(header["name"]),
+    )

@@ -5,7 +5,7 @@ memoryless Bernoulli process (`repro.simulation.workload.synthetic_trace`)
 and phase-structured NPB traces. Real interconnect traffic is neither —
 measured NoC/datacenter workloads burst on many timescales. This module
 adds the standard temporal models of the traffic literature, all emitting
-the same :class:`~repro.traffic.trace.Trace` records the simulator already
+the same columnar :class:`~repro.traffic.trace.Trace` the simulator already
 consumes:
 
 * :func:`onoff_trace` — two-state ON/OFF (MMPP-style) bursty injection
@@ -35,7 +35,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+from repro.traffic.trace import COLUMNS, MAX_PACKET_FLITS, Trace
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -79,21 +79,13 @@ def _source_rng(seed: int, source: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(int(seed), source))
 
 
-def _records_for_source(
-    rng: np.random.Generator,
-    times: np.ndarray,
-    source: int,
-    dest_probs: np.ndarray,
-    packet_flits: int,
-) -> list[PacketRecord]:
-    """Draw destinations in one vectorized call and build the records."""
+def _destinations(
+    rng: np.random.Generator, times: np.ndarray, dest_probs: np.ndarray
+) -> np.ndarray:
+    """Draw all of one source's destinations in one vectorized call."""
     if times.size == 0:
-        return []
-    dsts = rng.choice(dest_probs.size, size=times.size, p=dest_probs)
-    return [
-        PacketRecord(int(t), source, int(d), packet_flits)
-        for t, d in zip(times, dsts)
-    ]
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(dest_probs.size, size=times.size, p=dest_probs)
 
 
 def _bernoulli_times(
@@ -165,7 +157,7 @@ def onoff_trace(
             f"(burst_len {burst_len:g}, duty {duty:g}); raise burst_len, "
             "lower the duty, or use duty=1 for no OFF periods"
         )
-    records: list[PacketRecord] = []
+    parts = []
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -181,14 +173,12 @@ def onoff_trace(
             t += on_len
             if duty < 1.0:
                 t += int(rng.geometric(1.0 / mean_off))
-        records.extend(
-            _records_for_source(
-                rng, np.asarray(times, dtype=np.int64), s, dest_probs[s], packet_flits
-            )
-        )
-    return Trace(
+        arrivals = np.asarray(times, dtype=np.int64)
+        parts.append((s, arrivals, _destinations(rng, arrivals, dest_probs[s])))
+    return Trace.from_sources(
         traffic.n_nodes,
-        records,
+        parts,
+        packet_flits=packet_flits,
         name=name or f"onoff-r{injection_rate:g}-d{duty:g}",
     )
 
@@ -243,7 +233,7 @@ def pareto_onoff_trace(
             f"(min_on {min_on:g}, duty {duty:g}); raise min_on, lower the "
             "duty, or use duty=1 for no OFF periods"
         )
-    records: list[PacketRecord] = []
+    parts = []
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -258,14 +248,12 @@ def pareto_onoff_trace(
             t += on_len
             if duty < 1.0:
                 t += max(1, round(min_off * (1.0 + rng.pareto(alpha))))
-        records.extend(
-            _records_for_source(
-                rng, np.asarray(times, dtype=np.int64), s, dest_probs[s], packet_flits
-            )
-        )
-    return Trace(
+        arrivals = np.asarray(times, dtype=np.int64)
+        parts.append((s, arrivals, _destinations(rng, arrivals, dest_probs[s])))
+    return Trace.from_sources(
         traffic.n_nodes,
-        records,
+        parts,
+        packet_flits=packet_flits,
         name=name or f"pareto-r{injection_rate:g}-a{alpha:g}",
     )
 
@@ -318,7 +306,7 @@ def modulated_trace(
             return np.where(phase < 0.5, 1.0 + depth, 1.0 - depth)
         return 1.0 - depth + 2.0 * depth * phase  # ramp
 
-    records: list[PacketRecord] = []
+    parts = []
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -331,12 +319,11 @@ def modulated_trace(
                 factor(candidates) / (1.0 + depth)
             )
             candidates = candidates[accept]
-        records.extend(
-            _records_for_source(rng, candidates, s, dest_probs[s], packet_flits)
-        )
-    return Trace(
+        parts.append((s, candidates, _destinations(rng, candidates, dest_probs[s])))
+    return Trace.from_sources(
         traffic.n_nodes,
-        records,
+        parts,
+        packet_flits=packet_flits,
         name=name or f"{envelope}-r{injection_rate:g}-d{depth:g}",
     )
 
@@ -397,20 +384,20 @@ def mix_trace(
             raise ValueError(f"component share must be > 0, got {share}")
         parsed.append((model, share, params))
     total_share = sum(share for _, share, _ in parsed)
-    records: list[PacketRecord] = []
-    for i, (model, share, params) in enumerate(parsed):
-        component = TEMPORAL_MODELS[model](
+    columns = [
+        TEMPORAL_MODELS[model](
             traffic,
             injection_rate=injection_rate * share / total_share,
             cycles=cycles,
             packet_flits=packet_flits,
             seed=derive_seed(seed, i),
             **params,
-        )
-        records.extend(component.packets)
-    return Trace(
+        ).columns()
+        for i, (model, share, params) in enumerate(parsed)
+    ]
+    return Trace.from_columns(
         traffic.n_nodes,
-        records,
+        *(np.concatenate([c[key] for c in columns]) for key in COLUMNS),
         name=name
         or "mix-" + "+".join(m for m, _, _ in parsed) + f"-r{injection_rate:g}",
     )

@@ -202,6 +202,93 @@ class TestTrace:
             PacketRecord(0, 2, 2, 1)
 
 
+class TestColumnarTrace:
+    @staticmethod
+    def _cols():
+        # Deliberately unsorted, with a (time, src, dst) tie between rows
+        # 1 and 3 that a stable sort must keep in input order.
+        return (
+            np.array([5, 2, 0, 2]),
+            np.array([0, 1, 3, 1]),
+            np.array([1, 0, 2, 0]),
+            np.array([1, 4, 32, 2]),
+        )
+
+    def test_columns_are_read_only(self):
+        tr = Trace.from_columns(4, *self._cols())
+        for key, col in tr.columns().items():
+            assert col.dtype == np.int64, key
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            Trace(4, [PacketRecord(0, 0, 1, 1)]).columns()["dst"][0] = 2
+
+    def test_columns_dict_is_not_storage(self):
+        tr = Trace.from_columns(4, *self._cols())
+        tr.columns()["time"] = np.zeros(4, dtype=np.int64)
+        assert tr.columns()["time"].tolist() == [0, 2, 2, 5]
+
+    def test_from_columns_sorts_stably_and_copies(self):
+        time, src, dst, size = self._cols()
+        tr = Trace.from_columns(4, time, src, dst, size, name="cols")
+        time[:] = 7  # the caller's arrays are not aliased
+        cols = tr.columns()
+        assert cols["time"].tolist() == [0, 2, 2, 5]
+        assert cols["size_flits"].tolist() == [32, 4, 2, 1]
+        assert tr.name == "cols"
+        assert (tr.n_packets, tr.total_flits, tr.duration_cycles) == (4, 39, 6)
+
+    def test_matches_the_record_adapter(self):
+        tr = Trace.from_columns(4, *self._cols(), name="x")
+        records = [PacketRecord(*row) for row in zip(*(c.tolist() for c in self._cols()))]
+        assert Trace(4, records, name="x") == tr
+        assert tr.packets == sorted(records, key=lambda p: (p.time, p.src, p.dst))
+        assert list(tr.packets) == tr.packets
+        assert tr.packets[-1] == PacketRecord(5, 0, 1, 1)
+        assert tr.packets[1:3] == [PacketRecord(2, 1, 0, 4), PacketRecord(2, 1, 0, 2)]
+
+    def test_equality_covers_nodes_name_and_columns(self):
+        tr = Trace.from_columns(4, *self._cols(), name="x")
+        assert tr != Trace.from_columns(5, *self._cols(), name="x")
+        assert tr != Trace.from_columns(4, *self._cols(), name="y")
+        time, src, dst, size = self._cols()
+        size[0] = 3
+        assert tr != Trace.from_columns(4, time, src, dst, size, name="x")
+
+    def test_pickle_round_trip_stays_read_only(self):
+        import pickle
+
+        tr = Trace.from_columns(4, *self._cols())
+        back = pickle.loads(pickle.dumps(tr, protocol=pickle.HIGHEST_PROTOCOL))
+        assert back == tr
+        assert not back.columns()["src"].flags.writeable
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((-1, 0, 1, 1), "injection time must be >= 0, got -1"),
+            ((0, 2, 2, 1), "packet to self at node 2"),
+            ((0, 0, 1, 0), "packet size must be 1..32 flits, got 0"),
+            ((0, 0, 1, 33), "packet size must be 1..32 flits, got 33"),
+            ((0, 0, 4, 1), r"packet endpoints outside 0..3: PacketRecord"),
+            ((0, -1, 1, 1), r"packet endpoints outside 0..3"),
+        ],
+    )
+    def test_from_columns_validation_messages(self, row, message):
+        cols = [[good, v] for good, v in zip((0, 0, 1, 1), row)]
+        with pytest.raises(ValueError, match=message):
+            Trace.from_columns(4, *cols)
+
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Trace.from_columns(4, [0, 1], [0], [1], [1])
+
+    def test_empty_trace(self):
+        tr = Trace(4, [])
+        assert (tr.n_packets, tr.total_flits, tr.duration_cycles) == (0, 0, 0)
+        assert tr.packets == []
+
+
 class TestSchedulePhases:
     def test_source_serialization(self):
         # One source sends two 32-flit packets: second starts 32 cycles in.
