@@ -1,10 +1,11 @@
 """Extension bench — workload generator throughput and trace I/O.
 
-Tracks the speed of the :mod:`repro.workloads` subsystem's hot paths: the
-ON/OFF temporal generator (the default bursty model every sweep reaches
-for), the application-skeleton phase scheduler, and the npz trace-store
-round-trip. All three are `smoke`-tagged so the perf CI gate watches them
-alongside the cycle simulator.
+Tracks the speed of the trace generators' hot paths: the Bernoulli open
+loop (``synthetic_trace``, behind every saturation sweep), the ON/OFF
+temporal generator (the default bursty model every sweep reaches for), the
+application-skeleton phase scheduler, and the npz trace-store round-trip.
+All four are `smoke`-tagged so the perf CI gate watches them alongside the
+cycle simulator.
 
 Correctness asserted on the same payloads: the bursty generator hits its
 mean rate and out-bursts Bernoulli, and the store round-trips exactly.
@@ -29,10 +30,24 @@ from repro.workloads import (
 )
 
 GEN_CYCLES = 3000  # ~77k packets at rate 0.1 on the 16x16 mesh
+SYNTH_RATE, SYNTH_CYCLES = 0.16, 1000  # ~41k packets on the 16x16 mesh
 
 
 def _matrix_fixture():
     return uniform_traffic(build_mesh(16, 16), injection_rate=0.1)
+
+
+@benchmark_spec(
+    "workload_synthetic_gen",
+    setup=_matrix_fixture,
+    points=lambda trace: trace.n_packets,
+    tags=("workload", "smoke"),
+)
+def gen_synthetic(tm):
+    """Bernoulli trace generation, 256 nodes x 1000 cycles at rate 0.16."""
+    return synthetic_trace(
+        tm, injection_rate=SYNTH_RATE, cycles=SYNTH_CYCLES, seed=0
+    )
 
 
 @benchmark_spec(
@@ -81,6 +96,13 @@ def trace_io_round_trip(fixture):
     trace, path, _tmpdir = fixture
     save_trace_npz(trace, path)
     return load_trace_npz(path), trace
+
+
+def test_workload_synthetic_gen(run_bench):
+    trace = run_bench("workload_synthetic_gen")
+    measured = trace.total_flits / (256 * SYNTH_CYCLES)
+    assert measured == pytest.approx(SYNTH_RATE, rel=0.05)
+    assert trace.duration_cycles <= SYNTH_CYCLES
 
 
 def test_workload_onoff_gen(run_bench):
