@@ -80,20 +80,20 @@ def synthetic_trace(
     # CDF once per source and searching all of a source's uniforms at once
     # leaves the stream, and so every packet, unchanged.
     geometric, uniform = rng.geometric, rng.random
+    sources = np.flatnonzero(rates > 0)
     parts = []
-    for s in range(n):
-        if rates[s] <= 0:
-            continue
-        p_pkt = min(1.0, rates[s])
-        cdf = _choice_cdf(dest_probs[s])
+    for s, cdf in zip(sources.tolist(), _choice_cdfs(dest_probs[sources])):
+        # A Python float: numpy's scalar samplers take it faster than a
+        # numpy scalar, and the draws are the same.
+        p_pkt = min(1.0, float(rates[s]))
         times: list[int] = []
         draws: list[float] = []
         # Geometric inter-arrival sampling is O(packets), not O(cycles).
-        t = int(geometric(p_pkt)) - 1
+        t = geometric(p_pkt) - 1
         while t < cycles:
             times.append(t)
             draws.append(uniform())
-            t += int(geometric(p_pkt))
+            t += geometric(p_pkt)
         # No self-draw filtering needed: TrafficMatrix enforces a zero
         # diagonal, so dest_probs[s][s] == 0 and every draw is a real
         # injection — the effective rate matches the requested one.
@@ -106,19 +106,20 @@ def synthetic_trace(
     )
 
 
-def _choice_cdf(p: np.ndarray) -> np.ndarray:
-    """``Generator.choice``'s checks and CDF for one probability row."""
-    atol = np.sqrt(np.finfo(np.float64).eps)
-    p_sum = p.sum()
-    if np.isnan(p_sum):
+def _choice_cdfs(rows: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s checks and normalized CDF for each row of
+    destination probabilities (``cumsum`` runs along each row in order, as
+    ``choice`` runs it on one row)."""
+    sums = rows.sum(axis=1)
+    if np.isnan(sums).any():
         raise ValueError("Probabilities contain NaN")
-    if np.any(p < 0):
+    if (rows < 0).any():
         raise ValueError("Probabilities are not non-negative")
-    if abs(p_sum - 1.0) > atol:
+    if (np.abs(sums - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
         raise ValueError("Probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    cdfs = rows.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
 
 
 @dataclass(frozen=True)

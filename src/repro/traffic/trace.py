@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -243,10 +244,6 @@ class Trace:
         for a in self._cols.values():
             a.setflags(write=False)
 
-    def __reduce__(self):
-        # Pickle and copy would otherwise hand back writeable arrays.
-        return (_restore, (self.n_nodes, self.name, self._cols))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
@@ -318,15 +315,6 @@ class Trace:
         )
 
 
-def _restore(n_nodes: int, name: str, cols: dict[str, np.ndarray]) -> Trace:
-    """Unpickle a :class:`Trace` (columns already validated and sorted)."""
-    trace = Trace.__new__(Trace)
-    trace.n_nodes, trace.name, trace._cols = n_nodes, name, cols
-    for a in cols.values():
-        a.setflags(write=False)
-    return trace
-
-
 def schedule_phases(
     n_nodes: int,
     phases: Sequence[Iterable[Message]],
@@ -356,21 +344,20 @@ def schedule_phases(
     src: list[int] = []
     dst: list[int] = []
     size: list[int] = []
-    big_step = MAX_PACKET_FLITS * flit_interval
     phase_start = 0
     for phase in phases:
         next_free = [phase_start] * n_nodes
         for msg in phase:
-            # packetize_flits order: full 32-flit packets, then 1-flit ones.
-            full, rest = divmod(msg.size_flits, MAX_PACKET_FLITS)
-            t = next_free[msg.src]
-            mid = t + full * big_step
-            end = mid + rest * flit_interval
-            time.extend(range(t, mid, big_step))
-            time.extend(range(mid, end, flit_interval))
-            src.extend([msg.src] * (full + rest))
-            dst.extend([msg.dst] * (full + rest))
-            size.extend([MAX_PACKET_FLITS] * full + [1] * rest)
-            next_free[msg.src] = end
+            sizes = packetize_flits(msg.size_flits)
+            starts = list(
+                accumulate(
+                    [f * flit_interval for f in sizes], initial=next_free[msg.src]
+                )
+            )
+            time.extend(starts[:-1])
+            src.extend([msg.src] * len(sizes))
+            dst.extend([msg.dst] * len(sizes))
+            size.extend(sizes)
+            next_free[msg.src] = starts[-1]
         phase_start = max(next_free) + inter_phase_gap
     return Trace.from_columns(n_nodes, time, src, dst, size, name=name)

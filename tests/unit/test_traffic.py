@@ -255,14 +255,6 @@ class TestColumnarTrace:
         size[0] = 3
         assert tr != Trace.from_columns(4, time, src, dst, size, name="x")
 
-    def test_pickle_round_trip_stays_read_only(self):
-        import pickle
-
-        tr = Trace.from_columns(4, *self._cols())
-        back = pickle.loads(pickle.dumps(tr, protocol=pickle.HIGHEST_PROTOCOL))
-        assert back == tr
-        assert not back.columns()["src"].flags.writeable
-
     @pytest.mark.parametrize(
         "row, message",
         [
