@@ -6,12 +6,13 @@ flits per packet. All large packets from the original network trace were
 split up into smaller packets".
 
 A :class:`Trace` holds its injections as four int64 columns (time, source,
-destination, size), ordered by (time, src, dst). Traces are built from *messages* (src, dst, bytes) grouped into *phases*
-(e.g. one all-to-all exchange); the scheduler serializes each source's
-packets at the injection bandwidth (1 flit/cycle) and separates phases by a
-configurable compute gap, mimicking the bulk-synchronous structure of the
-NPB kernels while keeping the paper's "temporal information is ignored"
-simplification for energy accounting.
+destination, size), ordered by (time, src, dst). Traces are built from
+*messages* (src, dst, bytes) grouped into *phases* (e.g. one all-to-all
+exchange); the scheduler serializes each source's packets at the injection
+bandwidth (1 flit/cycle) and separates phases by a configurable compute
+gap, mimicking the bulk-synchronous structure of the NPB kernels while
+keeping the paper's "temporal information is ignored" simplification for
+energy accounting.
 """
 
 from __future__ import annotations
