@@ -16,7 +16,12 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments import Runner, Scenario, SimSpec, TopologySpec, TrafficSpec
 from repro.simulation import BatchSimulator, SimConfig, Simulator
 from repro.tech.parameters import Technology
-from repro.topology import build_express_mesh, build_mesh, build_torus
+from repro.topology import (
+    RoutingTable,
+    build_express_mesh,
+    build_mesh,
+    build_torus,
+)
 from repro.traffic import PacketRecord, Trace
 
 
@@ -123,6 +128,40 @@ class TestEngineEquivalence:
         got = bsim.dynamic_energy_j(stats)
         assert got.router_dynamic_j == pytest.approx(ref.router_dynamic_j)
         assert got.link_dynamic_j == pytest.approx(ref.link_dynamic_j)
+
+
+class TestReadmeFamilyAtScale:
+    """The README's 16x16 ``saturation-sweep`` points through both engines.
+
+    The fuzzed cases above stay at or below 6x6 and a few hundred
+    packets; these points carry tens of thousands of packets and the
+    0.3 rate saturates, so most of the exactness guard's work happens
+    here. The batched profile must show the guard firing, or the test
+    would not exercise it.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_with_guard_firing(self, seed):
+        from repro.experiments import scenario_family
+        from repro.obs.profile import PhaseProfile
+
+        scns = scenario_family(
+            "saturation-sweep", rates=(0.1, 0.2, 0.3), cycles=200,
+            seed=seed, engine="batched",
+        )
+        topo = scns[0].topology.build()
+        routing = RoutingTable(topo)
+        cfg = scns[0].sim.sim_config()
+        traces = [s.traffic.trace(topo, sim=s.sim) for s in scns]
+        caps = [s.sim.cycle_budget(s.traffic.trace_based) for s in scns]
+        prof = PhaseProfile()
+        got = BatchSimulator(topo, routing, cfg).run_batch(
+            traces, max_cycles=caps, profile=prof
+        )
+        sim = Simulator(topo, routing, cfg)
+        for trace, cap, stats in zip(traces, caps, got):
+            _assert_stats_equal(sim.run(trace, max_cycles=cap), stats)
+        assert prof.counts["scalar_replay_cycles"] > 0
 
 
 class TestEngineSeam:
