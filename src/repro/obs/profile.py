@@ -3,7 +3,8 @@
 The engines' cycle loops decompose into named phases (flit arrivals,
 injection, VC allocation, switch allocation, drain/fast-forward for the
 interpreter; vectorized arrivals/injection/alloc-traversal plus the
-scalar-replay fallback for the batched engine). A :class:`PhaseProfile`
+exactness guard's wave fixpoint for the batched engine, kept under the
+``scalar_replay`` key as the guard's cost). A :class:`PhaseProfile`
 handed to ``Simulator.run(profile=...)`` or
 ``BatchSimulator.run_batch(profile=...)`` accumulates ``perf_counter_ns``
 deltas per phase via chained timestamps, so the phase sum tracks the
@@ -68,7 +69,7 @@ class PhaseProfile:
 
     Mutable accumulator: the engine calls :meth:`add` at phase
     boundaries and :meth:`bump` for occurrence counts (cycles executed,
-    scalar-replay cycles). ``total_ns`` is the engine's own
+    run-cycles where the batched exactness guard fired, its waves). ``total_ns`` is the engine's own
     entry-to-exit wall time; ``sum(phases.values())`` should land within
     a few percent of it because the timestamps chain (each phase's end
     is the next phase's start).

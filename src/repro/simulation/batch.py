@@ -17,7 +17,7 @@ order*, and a popped flit's credit returns to its upstream router
 *instantly* (visible to routers not yet visited this cycle). The
 interpreter realizes this literally (``for node in sorted(active)``);
 this engine realizes it as a snapshot-credit vectorized pass plus an
-exact fallback, and the two are **bit-identical** on every
+exact wave fixpoint, and the two are **bit-identical** on every
 :class:`~repro.simulation.simulator.SimStats` field — the golden
 fixtures and the Hypothesis differential tests pin that.
 
@@ -40,12 +40,17 @@ How the vectorized pass stays exact:
   first-requester order with a segmented prefix-sum pick, so the
   interpreter's ``input_used`` filtering (a granted input port drops
   out of later candidate lists) is reproduced exactly in array ops.
-* **Exactness guard.** One structure remains order-sensitive and rare:
-  a cycle in which a credit return *enables* a later router (0 -> 1
-  credits flowing to a higher-numbered node) falls back to a scalar
-  replay of that run-cycle from pristine state. Drained
-  (pre-saturation) sweep points measurably never hit this fallback,
-  which is why the amortized sweep benchmark holds its speedup.
+* **Exactness guard.** One structure remains order-sensitive: a cycle
+  in which a credit return *enables* a later router (0 -> 1 credits
+  flowing to a higher-numbered node). Decisions read credits only as
+  ``> 0``, so the engine adds the pass's credit returns, re-resolves
+  only the routers whose credit positivity changed — from their
+  untouched round-robin / busy state, with the same vectorized
+  allocator — and repeats in ascending waves until no router's inputs
+  change. The dependencies run from lower- to higher-numbered routers,
+  so the waves converge to the sequential result in chain depth + 1
+  rounds. Drained (pre-saturation) sweep points measurably never fire
+  the guard.
 
 What stays interpreter-only: telemetry sampling, closed-loop sessions
 and online controllers (their packet registration and window hooks are
@@ -382,10 +387,11 @@ class BatchSimulator:
 
         ``profile`` attaches an opt-in per-phase timer
         (:class:`repro.obs.profile.PhaseProfile`); the lockstep phases
-        are timed per iteration and the exactness-guard scalar replay
-        is charged to its own ``scalar_replay`` phase, so the profile
-        shows what fraction of the batched run fell back to sequential
-        execution. Profiling never touches simulation state (outputs
+        are timed per iteration and the exactness guard's wave fixpoint
+        is charged to its own ``scalar_replay`` phase (the key keeps its
+        name as the guard's cost), with ``scalar_replay_cycles`` counting
+        the run-cycles where the guard fired and ``guard_waves`` its
+        re-resolve rounds. Profiling never touches simulation state (outputs
         stay bit-identical); disabled it costs one ``is not None``
         check per phase boundary.
         """
@@ -464,8 +470,8 @@ class BatchSimulator:
             )
         if prof is not None:
             _end = _pns()
-            # The scalar-replay fallback timed itself inside the alloc
-            # phase window; subtract so the two phases partition it.
+            # The guard's fixpoint timed itself inside the alloc phase
+            # window; subtract so the two phases partition it.
             _scalar = prof.phases.get("scalar_replay", 0)
             prof.add("setup", _setup_done - _run_start)
             prof.add("arrivals", _ph_arr)
@@ -569,7 +575,6 @@ class BatchSimulator:
 
     def _phase_alloc_traversal(self, st: _BatchState) -> None:
         fam = self.family
-        v, n_ops = fam.n_vcs, fam.n_ops
         ob, os_ = np.nonzero((st.buf_cnt > 0) & st.alive[:, None])
         if ob.size == 0:
             return
@@ -578,15 +583,50 @@ class BatchSimulator:
         rb, rs = ob[ready], os_[ready]
         if rb.size == 0:
             return
-        h = h[ready]
-        hp = st.buf_pkt[rb, rs, h]
+        hp = st.buf_pkt[rb, rs, h[ready]]
 
-        # Snapshot round-robin / busy state: the pass must be repeatable
-        # from pristine state for runs that take the exact-replay path.
+        # Resolve on copies of the round-robin / busy state: the guard
+        # below re-resolves routers from the untouched state.
         tmp_vc_rr = st.vc_rr.reshape(-1).copy()
         tmp_sa = st.sa_rr.reshape(-1).copy()
         tmp_busy = st.busy.copy()
+        req_op, req_vc, alloc_rows, g = self._resolve(
+            st, rb, rs, hp, st.credits, tmp_vc_rr, tmp_sa, tmp_busy
+        )
+        # Exactness guard: a credit return that turns 0 credits into 1
+        # at a *higher-numbered* router changes what that router would
+        # have done in the sequential order.
+        gs_g = rs[g]
+        if (
+            fam.up_enab[gs_g] & (st.credits[rb[g], fam.up_safe[gs_g]] == 0)
+        ).any():
+            req_op, req_vc, alloc_rows, g = self._fixpoint(
+                st, rb, rs, hp, (req_op, req_vc, alloc_rows, g),
+                tmp_vc_rr, tmp_sa, tmp_busy,
+            )
+        st.vc_rr = tmp_vc_rr.reshape(st.vc_rr.shape)
+        st.sa_rr = tmp_sa.reshape(st.sa_rr.shape)
+        st.busy = tmp_busy
+        if alloc_rows.size:
+            st.vc_out_op[rb[alloc_rows], rs[alloc_rows]] = req_op[alloc_rows]
+            st.vc_out_vc[rb[alloc_rows], rs[alloc_rows]] = req_vc[alloc_rows]
+        if g.size:
+            self._commit_grants(
+                st, fam, rb[g], rs[g], req_op[g], req_vc[g], hp[g]
+            )
 
+    def _resolve(self, st, rb, rs, hp, cred, tmp_vc_rr, tmp_sa, tmp_busy):
+        """VC and switch allocation of the ready rows ``(rb, rs)``.
+
+        Reads credits only as ``cred > 0`` and updates the round-robin /
+        busy scratch arrays in place. Every row only touches state of its
+        own router, so any set of whole routers resolves independently.
+        Returns ``(req_op, req_vc, alloc_rows, g)``: each row's output
+        port and VC, the rows that allocated a VC now, and the granted
+        rows.
+        """
+        fam = self.family
+        v, n_ops = fam.n_vcs, fam.n_ops
         req_op = st.vc_out_op[rb, rs].copy()
         req_vc = st.vc_out_vc[rb, rs].copy()
         need = req_op < 0
@@ -648,7 +688,7 @@ class BatchSimulator:
                 vc_mat = lo[ns_rows][:, None] + (s0 + i) % sp_k
                 op_base = opx[ns_rows] * v
                 osl_mat = op_base[:, None] + vc_mat
-                pre_ok = (i < sp_k) & (st.credits[b_k[:, None], osl_mat] > 0)
+                pre_ok = (i < sp_k) & (cred[b_k[:, None], osl_mat] > 0)
                 rnk_ns = rank[ns_rows]
                 rorder = np.argsort(rnk_ns, kind="stable")
                 bounds = np.searchsorted(
@@ -676,7 +716,7 @@ class BatchSimulator:
         osl_all = req_op * v + req_vc
         can = have & (
             fam.op_sink[np.where(have, req_op, 0)]
-            | (st.credits[rb, np.where(have, osl_all, 0)] > 0)
+            | (cred[rb, np.where(have, osl_all, 0)] > 0)
         )
         qrows = np.nonzero(can)[0]
         g = np.zeros(0, dtype=np.int64)
@@ -685,60 +725,70 @@ class BatchSimulator:
                 st, fam, rb[qrows], rs[qrows], req_op[qrows], tmp_sa
             )
             g = qrows[grants]
+        return req_op, req_vc, alloc_rows, g
 
-        # Exactness guard: a credit return that turns 0 credits into 1
-        # at a *higher-numbered* router changes what that router would
-        # have done — replay such runs scalar, in ascending node order,
-        # from the untouched state.
-        if g.size:
-            gs_g = rs[g]
-            en = fam.up_enab[gs_g] & (
-                st.credits[rb[g], fam.up_safe[gs_g]] == 0
+    def _fixpoint(self, st, rb, rs, hp, res, tmp_vc_rr, tmp_sa, tmp_busy):
+        """Re-resolve routers whose credit positivity changed, to fixpoint.
+
+        Within one cycle the only coupling between routers is an instant
+        credit return from a lower- to a higher-numbered router, and
+        decisions read credits only as ``> 0``. Each round adds the
+        current grants' returns to the cycle-start credits, finds the
+        routers whose positivity differs from what they last resolved
+        against, and resolves those routers again from their untouched
+        round-robin / busy state. The dependencies form a DAG in node
+        order, so the rounds converge to the ascending-sequential
+        result. The loop is charged to the ``scalar_replay`` phase (the
+        guard's cost); ``guard_waves`` counts its re-resolve rounds.
+        """
+        fam = self.family
+        prof = st.profile
+        if prof is not None:
+            _t = time.perf_counter_ns()
+        req_op, req_vc, alloc_rows, g = res
+        allocd = np.zeros(rb.size, dtype=bool)
+        allocd[alloc_rows] = True
+        granted = np.zeros(rb.size, dtype=bool)
+        granted[g] = True
+        row_rtr = fam.slot_router[rs]
+        vc_rr = tmp_vc_rr.reshape(st.vc_rr.shape)
+        sa_rr = tmp_sa.reshape(st.sa_rr.shape)
+        pos_used = st.credits > 0
+        rounds = 0
+        while True:
+            ret = granted & fam.up_enab[rs]
+            cred = st.credits.copy()
+            cred[rb[ret], fam.up_oslot[rs[ret]]] += 1
+            pos = cred > 0
+            cb, cosl = np.nonzero(pos != pos_used)
+            if rounds == 0 and prof is not None:
+                prof.bump("scalar_replay_cycles", int(np.unique(cb).size))
+            pos_used = pos
+            aff = np.zeros((st.alive.size, fam.n_nodes), dtype=bool)
+            aff[cb, fam.op_router[cosl // fam.n_vcs]] = True
+            sub = np.nonzero(aff[rb, row_rtr])[0]
+            if sub.size == 0:
+                break
+            rounds += 1
+            ops = aff[:, fam.op_router]
+            vc_rr[ops] = st.vc_rr[ops]
+            sa_rr[ops] = st.sa_rr[ops]
+            oslots = np.repeat(ops, fam.n_vcs, axis=1)
+            tmp_busy[oslots] = st.busy[oslots]
+            s_op, s_vc, s_alloc, s_g = self._resolve(
+                st, rb[sub], rs[sub], hp[sub], cred, tmp_vc_rr, tmp_sa,
+                tmp_busy,
             )
-        else:
-            en = np.zeros(0, dtype=bool)
-        if not en.any():
-            # Common case: no run needs the sequential replay — adopt the
-            # pass's round-robin state wholesale and commit.
-            st.vc_rr = tmp_vc_rr.reshape(st.vc_rr.shape)
-            st.sa_rr = tmp_sa.reshape(st.sa_rr.shape)
-            st.busy = tmp_busy
-            if alloc_rows.size:
-                st.vc_out_op[rb[alloc_rows], rs[alloc_rows]] = req_op[
-                    alloc_rows
-                ]
-                st.vc_out_vc[rb[alloc_rows], rs[alloc_rows]] = req_vc[
-                    alloc_rows
-                ]
-            if g.size:
-                self._commit_grants(
-                    st, fam, rb[g], rs[g], req_op[g], req_vc[g], hp[g]
-                )
-            return
-
-        flagged = np.zeros(st.alive.size, dtype=bool)
-        flagged[np.unique(rb[g][en])] = True
-        okrun = ~flagged
-        st.vc_rr[okrun] = tmp_vc_rr.reshape(st.vc_rr.shape)[okrun]
-        st.sa_rr[okrun] = tmp_sa.reshape(st.sa_rr.shape)[okrun]
-        st.busy[okrun] = tmp_busy[okrun]
-        if alloc_rows.size:
-            ar = alloc_rows[okrun[rb[alloc_rows]]]
-            st.vc_out_op[rb[ar], rs[ar]] = req_op[ar]
-            st.vc_out_vc[rb[ar], rs[ar]] = req_vc[ar]
-        gm = okrun[rb[g]]
-        self._commit_grants(
-            st, fam, rb[g][gm], rs[g][gm], req_op[g][gm], req_vc[g][gm],
-            hp[g][gm],
-        )
-        replays = np.nonzero(flagged)[0]
-        if st.profile is not None:
-            _rt = time.perf_counter_ns()
-        for b in replays:
-            self._phase3_scalar(st, int(b))
-        if st.profile is not None:
-            st.profile.add("scalar_replay", time.perf_counter_ns() - _rt)
-            st.profile.bump("scalar_replay_cycles", int(replays.size))
+            req_op[sub] = s_op
+            req_vc[sub] = s_vc
+            allocd[sub] = False
+            allocd[sub[s_alloc]] = True
+            granted[sub] = False
+            granted[sub[s_g]] = True
+        if prof is not None:
+            prof.add("scalar_replay", time.perf_counter_ns() - _t)
+            prof.bump("guard_waves", rounds)
+        return req_op, req_vc, np.nonzero(allocd)[0], np.nonzero(granted)[0]
 
     def _switch_alloc(self, st, fam, qb, qs, qop, tmp_sa) -> np.ndarray:
         """Exact switch allocation over the request set.
@@ -862,127 +912,6 @@ class BatchSimulator:
                 )
                 if at < st.next_arr[bi]:
                     st.next_arr[bi] = at
-
-    def _phase3_scalar(self, st: _BatchState, b: int) -> None:
-        """Exact sequential replay of one run-cycle (ascending routers).
-
-        The rare path: taken only when a same-cycle credit return
-        enables a higher-numbered router. Mirrors the interpreter's
-        phase-3 loop statement by statement over the flat arrays.
-        """
-        fam = self.family
-        occ = np.nonzero(st.buf_cnt[b])[0]
-        routers = fam.slot_router[occ]
-        start = 0
-        while start < occ.size:
-            end = start
-            r = routers[start]
-            while end < occ.size and routers[end] == r:
-                end += 1
-            self._router_scalar(st, b, occ[start:end])
-            start = end
-
-    def _router_scalar(self, st: _BatchState, b: int, slots) -> None:
-        fam = self.family
-        v = fam.n_vcs
-        tb = int(st.t[b])
-        requests: dict[int, list[int]] = {}
-        for s in map(int, slots):
-            h = int(st.buf_head[b, s])
-            if st.buf_ready[b, s, h] > tb:
-                continue
-            pkt = int(st.buf_pkt[b, s, h])
-            op = int(st.vc_out_op[b, s])
-            if op < 0:
-                rtr = int(fam.slot_router[s])
-                dst = int(st.p_dst[pkt])
-                if rtr == dst:
-                    op_t = int(fam.op_local[rtr])
-                else:
-                    op_t = int(fam.op_of_link[fam.route_lut[rtr, dst]])
-                rr = int(st.vc_rr[b, op_t])
-                st.vc_rr[b, op_t] = (rr + 1) % v
-                if fam.op_sink[op_t]:
-                    got = 0
-                else:
-                    lnk = int(fam.op_link[op_t])
-                    if fam.link_express[lnk]:
-                        cls = 1
-                    elif fam.link_row[lnk]:
-                        cls = int(st.cls_x[pkt])
-                    else:
-                        cls = int(st.cls_y[pkt])
-                    lo = int(fam.vr_lo[cls, op_t])
-                    span = int(fam.vr_span[cls, op_t])
-                    got = -1
-                    base = op_t * v
-                    for i in range(span):
-                        idx = lo + (rr + i) % span
-                        if not st.busy[b, base + idx] and (
-                            st.credits[b, base + idx] > 0
-                        ):
-                            st.busy[b, base + idx] = True
-                            got = idx
-                            break
-                    if got < 0:
-                        continue
-                st.vc_out_op[b, s] = op_t
-                st.vc_out_vc[b, s] = got
-                op = op_t
-            ovc = int(st.vc_out_vc[b, s])
-            if fam.op_sink[op] or st.credits[b, op * v + ovc] > 0:
-                requests.setdefault(op, []).append(s)
-
-        input_used: set[int] = set()
-        for op, cands in requests.items():
-            cands = [
-                s for s in cands if int(fam.slot_port[s]) not in input_used
-            ]
-            if not cands:
-                continue
-            pick = int(st.sa_rr[b, op]) % len(cands)
-            s = cands[pick]
-            st.sa_rr[b, op] = (pick + 1) % len(cands)
-            input_used.add(int(fam.slot_port[s]))
-            h = int(st.buf_head[b, s])
-            pkt = int(st.buf_pkt[b, s, h])
-            fidx = int(st.buf_fidx[b, s, h])
-            st.buf_head[b, s] = (h + 1) % fam.vc_depth
-            st.buf_cnt[b, s] -= 1
-            tail = fidx == int(st.p_size[pkt]) - 1
-            ovc = int(st.vc_out_vc[b, s])
-            if tail:
-                st.vc_out_op[b, s] = -1
-            st.router_counts[b, fam.slot_router[s]] += 1
-            osl = op * v + ovc
-            if not fam.op_sink[op]:
-                st.credits[b, osl] -= 1
-                if tail:
-                    st.busy[b, osl] = False
-            up = int(fam.up_oslot[s])
-            if up >= 0:
-                st.credits[b, up] += 1
-            if fam.op_sink[op]:
-                if tail:
-                    st.lat[pkt] = tb + 1 - int(st.p_time[pkt])
-                    st.delivered[b] += 1
-            else:
-                lnk = int(fam.op_link[op])
-                st.link_counts[b, lnk] += 1
-                if fam.link_express[lnk]:
-                    if fam.link_row[lnk]:
-                        st.cls_x[pkt] = 1
-                    else:
-                        st.cls_y[pkt] = 1
-                arr = tb + int(fam.link_cyc[lnk])
-                row = np.asarray(
-                    [[int(fam.dest_slot[lnk]) + ovc, pkt, fidx,
-                      arr + fam.pipeline]],
-                    dtype=np.int64,
-                )
-                st.arrivals[b].setdefault(arr, []).append(row)
-                if arr < st.next_arr[b]:
-                    st.next_arr[b] = arr
 
     # -- phase 4: clock, termination, fast-forward --------------------
 

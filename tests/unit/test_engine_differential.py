@@ -105,6 +105,30 @@ class TestEngineEquivalence:
         for trace, cap, got in zip(traces, caps, batch):
             _assert_stats_equal(sim.run(trace, max_cycles=cap), got)
 
+    def test_guard_cascade_needs_several_waves(self):
+        """A congested 4x4 case (1 VC, depth 1) in which a same-cycle
+        credit return enables a router whose own grants then enable a
+        further one: the guard's fixpoint needs more waves than guarded
+        cycles, and one patch-up pass per cycle would diverge here."""
+        from repro.obs.profile import PhaseProfile
+
+        rng = np.random.default_rng(27)
+        records = []
+        for _ in range(20):
+            s, d = rng.choice(16, size=2, replace=False)
+            records.append(PacketRecord(
+                int(rng.integers(0, 8)), int(s), int(d), int(rng.choice([1, 2]))
+            ))
+        topo, cfg = build_mesh(4, 4), SimConfig(n_vcs=1, vc_depth=1)
+        trace = Trace(topo.n_nodes, records)
+        prof = PhaseProfile()
+        got = BatchSimulator(topo, config=cfg).run(
+            trace, max_cycles=2_000, profile=prof
+        )
+        ref = Simulator(topo, config=cfg).run(trace, max_cycles=2_000)
+        _assert_stats_equal(ref, got)
+        assert prof.counts["guard_waves"] > prof.counts["scalar_replay_cycles"]
+
     def test_empty_trace(self):
         topo = build_mesh(3, 3)
         trace = Trace(topo.n_nodes, [])
