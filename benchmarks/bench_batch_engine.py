@@ -8,6 +8,9 @@ shared state across a whole rate sweep. ``interpreter_sweep_16pt`` and
 family through both engines; the CI bench-smoke gate asserts the batched
 sweep sustains >= 3x the interpreter's points/sec (the engines are
 bit-identical, so the comparison is purely about speed).
+``interpreter_sweep_saturated`` and ``batch_engine_sweep_saturated`` do
+the same past the knee, where the batched engine's exactness guard fires
+on a large share of cycles; CI gates that pair at >= 1x.
 """
 
 import numpy as np
@@ -19,8 +22,11 @@ from repro.traffic import PacketRecord, Trace
 
 SWEEP_RATES = [0.02 + 0.02 * i for i in range(16)]
 """Injection rates of the 8x8 saturation family, all in the drained
-(pre-saturation) region where the batched engine's exact-replay fallback
-never fires."""
+(pre-saturation) region where the batched engine's exactness guard never
+fires."""
+SATURATED_RATES = [round(0.30 + 0.05 * i, 2) for i in range(8)]
+"""Injection rates 0.30-0.65 of the 8x8 family: at and past the knee,
+where the exactness guard fires."""
 SWEEP_WINDOW = 600
 N_NODES = 64
 
@@ -74,6 +80,36 @@ def run_batch_engine_sweep(fixture):
     return bsim.run_batch(traces, max_cycles=2_000_000)
 
 
+def _saturated_fixture():
+    mesh = build_mesh(8, 8)
+    traces = [
+        _rate_trace(2000 + i, rate) for i, rate in enumerate(SATURATED_RATES)
+    ]
+    return mesh, RoutingTable(mesh), traces
+
+
+@benchmark_spec(
+    "interpreter_sweep_saturated",
+    setup=_saturated_fixture,
+    points=len(SATURATED_RATES),
+    tags=("perf", "simulation", "smoke"),
+)
+def run_interpreter_sweep_saturated(fixture):
+    """8-point saturated 8x8 family, one interpreter run per point."""
+    return run_interpreter_sweep(fixture)
+
+
+@benchmark_spec(
+    "batch_engine_sweep_saturated",
+    setup=_saturated_fixture,
+    points=len(SATURATED_RATES),
+    tags=("perf", "simulation", "smoke"),
+)
+def run_batch_engine_sweep_saturated(fixture):
+    """The same saturated family as one amortized run_batch call."""
+    return run_batch_engine_sweep(fixture)
+
+
 def _single_fixture():
     mesh = build_mesh(8, 8)
     return BatchSimulator(mesh, RoutingTable(mesh)), _rate_trace(77, 0.24)
@@ -104,6 +140,17 @@ def test_perf_sweep_amortization(run_bench):
     assert len(ref) == len(got) == len(SWEEP_RATES)
     for a, b in zip(ref, got):
         assert a.drained and b.drained
+        assert a.cycles == b.cycles
+        assert np.array_equal(a.packet_latencies, b.packet_latencies)
+        assert np.array_equal(a.link_flit_counts, b.link_flit_counts)
+
+
+def test_perf_sweep_saturated(run_bench):
+    """Past the knee both engines must still agree bit for bit."""
+    ref = run_bench("interpreter_sweep_saturated")
+    got = run_bench("batch_engine_sweep_saturated")
+    assert len(ref) == len(got) == len(SATURATED_RATES)
+    for a, b in zip(ref, got):
         assert a.cycles == b.cycles
         assert np.array_equal(a.packet_latencies, b.packet_latencies)
         assert np.array_equal(a.link_flit_counts, b.link_flit_counts)
