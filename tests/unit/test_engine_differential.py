@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments import Runner, Scenario, SimSpec, TopologySpec, TrafficSpec
+from repro.experiments import (
+    Runner,
+    Scenario,
+    SimSpec,
+    TopologySpec,
+    TrafficSpec,
+    scenario_family,
+)
+from repro.obs.profile import PhaseProfile
 from repro.simulation import BatchSimulator, SimConfig, Simulator
 from repro.tech.parameters import Technology
 from repro.topology import (
@@ -110,8 +118,6 @@ class TestEngineEquivalence:
         credit return enables a router whose own grants then enable a
         further one: the guard's fixpoint needs more waves than guarded
         cycles, and one patch-up pass per cycle would diverge here."""
-        from repro.obs.profile import PhaseProfile
-
         rng = np.random.default_rng(27)
         records = []
         for _ in range(20):
@@ -166,9 +172,6 @@ class TestReadmeFamilyAtScale:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bit_identical_with_guard_firing(self, seed):
-        from repro.experiments import scenario_family
-        from repro.obs.profile import PhaseProfile
-
         scns = scenario_family(
             "saturation-sweep", rates=(0.1, 0.2, 0.3), cycles=200,
             seed=seed, engine="batched",
