@@ -228,6 +228,39 @@ class TestCliClientCommands:
         assert main(["jobs", *url]) == 0
         assert job["job_id"] in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["submit", "--family", "saturation-sweep"],
+            ["submit", "--family", "saturation-sweep", "--wait"],
+            ["status", "job-000001"],
+            ["status", "job-000001", "--wait"],
+            ["status", "job-000001", "--watch"],
+            ["fetch", "job-000001"],
+            ["fetch", "job-000001", "--out", "unused.npz"],
+            ["jobs"],
+            ["jobs", "--state", "done"],
+            ["obs", "metrics"],
+            ["obs", "metrics", "--prom"],
+            ["obs", "metrics", "--watch", "0.01"],
+            ["obs", "top", "--interval", "0.01"],
+            ["obs", "slo"],
+            ["obs", "trace", "job-000001"],
+            ["obs", "profile", "--job", "job-000001"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unreachable_service_exits_2(self, argv, capsys):
+        from repro.cli import main
+
+        url = ["--url", "http://127.0.0.1:9", "--timeout", "0.5"]
+        assert main([*argv, *url]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error (unreachable): cannot reach ")
+
     def test_unknown_job_exits_2(self, live, capsys):
         from repro.cli import main
 

@@ -1,6 +1,7 @@
 """Unit tests for the experiment service: schema, jobs, results, scheduler."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -377,6 +378,72 @@ class TestScheduler:
         )
         assert reborn.jobs_by_state() == {"done": 1}
         assert reborn.queue_depth() == 0
+
+    def test_restart_reproduces_done_failed_and_parked_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        # A restart must rebuild every job exactly as the running service
+        # reported it: finished jobs unchanged, parked work resumed.
+        import repro.experiments.runner as runner_mod
+
+        real_evaluate = runner_mod.evaluate_scenario
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+
+        def evaluate(scenario, **kwargs):
+            rate = scenario.traffic.injection_rate
+            if rate == 0.07:
+                raise RuntimeError("injected point failure")
+            if rate == 0.03:
+                # Hold the parked job's first point until stop() begins,
+                # so stop() interrupts the job mid-run.
+                sched._stop.wait(60)
+            return real_evaluate(scenario, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "evaluate_scenario", evaluate)
+
+        def request(rates):
+            return {
+                "version": 1,
+                "family": "saturation-sweep",
+                "params": {"rates": rates, "cycles": 300},
+            }
+
+        try:
+            done = sched.submit(request([0.05, 0.1])).job_id
+            failed = sched.submit(request([0.07])).job_id
+            assert sched.wait(done, timeout=120).state == "done"
+            assert sched.wait(failed, timeout=120).state == "failed"
+            parked = sched.submit(request([0.03, 0.06])).job_id
+            deadline = time.monotonic() + 60
+            while sched.job(parked).state != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            sched.stop()
+        before = {d["job_id"]: d for d in sched.audit_json()}
+        release_before = sched.release(done)
+        assert before[parked]["state"] == "running"
+
+        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            after = {d["job_id"]: d for d in reborn.audit_json()}
+            for job_id in (done, failed):
+                assert after[job_id] == before[job_id]
+                for key in (
+                    "state", "points_done", "cache_hits", "duration_s",
+                    "error", "release", "resumed",
+                ):
+                    assert after[job_id][key] == before[job_id][key]
+            assert before[failed]["error"].endswith("injected point failure")
+            release_after = reborn.release(done)
+            assert release_after.to_json() == release_before.to_json()
+            assert release_after.read_bytes() == release_before.read_bytes()
+            resumed = reborn.wait(parked, timeout=120)
+            assert resumed.state == "done"
+            assert resumed.resumed == 1
+            assert resumed.points_done == resumed.n_points == 2
+        finally:
+            reborn.stop()
 
     def test_job_spans_capture_the_runner_trace(self, tmp_path):
         from repro.obs import export_trace
