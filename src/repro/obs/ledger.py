@@ -18,10 +18,12 @@ Crash-safety contract:
   not be silently skipped); reopening a ledger through
   :class:`RunLedger` physically truncates the torn tail so the next
   append starts on a clean line boundary;
-* **replayable** — :func:`replay_ledger` folds the event stream back
-  into job/point state; for any job the replay matches the
-  :class:`~repro.service.jobs.JobRecord` the scheduler persisted
-  (pinned by an end-to-end kill+resume test).
+* **the record of job state** — the ledger is the only mutable job
+  state the service keeps on disk. :meth:`LedgerReplay.apply` folds one
+  event; the scheduler applies each event it appends to its in-memory
+  record, and a restarted service replays the file through the same
+  fold, so the two cannot disagree (pinned by an end-to-end kill+resume
+  test).
 
 :func:`export_ledger` mirrors :func:`repro.obs.trace.export_trace`'s
 deterministic-export conventions: ``deterministic=True`` strips wall
@@ -192,14 +194,17 @@ class RunLedger:
 
 @dataclass
 class LedgerReplay:
-    """Job/point state reconstructed from a ledger event stream.
+    """Job/point state folded from a ledger event stream.
 
-    The counter fields mirror :class:`~repro.service.jobs.JobRecord`:
-    ``points_done`` counts completed + cached points *since the last
-    requeue* (a boot-requeue resets the scheduler's counters, and the
-    replay folds ``job.requeued`` the same way), ``cache_hits`` the
-    cached subset. ``point_states`` maps point index to its latest
-    lifecycle stage.
+    :meth:`apply` is the one fold of the event vocabulary: the service's
+    in-memory job records (:class:`~repro.service.jobs.JobRecord`
+    subclasses this) change only by applying the events their ledger
+    just recorded, and a restarted service rebuilds them by applying the
+    same lines read back from disk. ``points_done`` counts completed +
+    cached points *since the last requeue* (``job.requeued`` resets the
+    counters; the checkpointed points return as cache hits on the
+    re-run), ``cache_hits`` the cached subset. ``point_states`` maps
+    point index to its latest lifecycle stage.
     """
 
     job_id: str | None = None
@@ -210,7 +215,46 @@ class LedgerReplay:
     failed_points: int = 0
     resumed: int = 0
     error: str | None = None
+    duration_s: float | None = None
+    release: str | None = None
+    """Result-store release id once the job is done."""
     point_states: dict[int, str] = field(default_factory=dict)
+
+    def apply(self, ev: dict[str, Any]) -> None:
+        """Fold one ledger event into the state."""
+        name = ev.get("event")
+        if "job" in ev:
+            self.job_id = ev["job"]
+        if name == "job.submitted":
+            self.n_points = int(ev.get("n_points", 0))
+            self.state = "queued"
+        elif name == "job.running":
+            self.state = "running"
+        elif name == "job.requeued":
+            self.resumed += 1
+            self.state = "queued"
+            self.points_done = 0
+            self.cache_hits = 0
+            self.failed_points = 0
+            self.point_states = {i: "queued" for i in range(self.n_points)}
+        elif name == "job.interrupted":
+            self.state = "running"  # parked on disk as resumable
+        elif name == "job.done":
+            self.state = "done"
+            self.release = ev.get("release")
+            self.duration_s = ev.get("duration_s")
+        elif name == "job.failed":
+            self.state = "failed"
+            self.error = ev.get("error")
+            self.duration_s = ev.get("duration_s")
+        elif isinstance(name, str) and name.startswith("point."):
+            stage = name.split(".", 1)[1]
+            self.point_states[int(ev.get("point", -1))] = stage
+            if stage in ("completed", "cached"):
+                self.points_done += 1
+                self.cache_hits += stage == "cached"
+            elif stage == "failed":
+                self.failed_points += 1
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -232,40 +276,7 @@ def replay_ledger(events: list[dict[str, Any]]) -> LedgerReplay:
     """Fold an event stream into the job state it describes."""
     rep = LedgerReplay()
     for ev in events:
-        name = ev.get("event")
-        if "job" in ev:
-            rep.job_id = ev["job"]
-        if name == "job.submitted":
-            rep.n_points = int(ev.get("n_points", 0))
-            rep.state = "queued"
-        elif name == "job.running":
-            rep.state = "running"
-        elif name == "job.requeued":
-            # Mirrors the scheduler's boot-requeue: counters reset, the
-            # checkpointed points return as cache hits on the re-run.
-            rep.resumed += 1
-            rep.state = "queued"
-            rep.points_done = 0
-            rep.cache_hits = 0
-            rep.failed_points = 0
-            rep.point_states = {i: "queued" for i in range(rep.n_points)}
-        elif name == "job.interrupted":
-            rep.state = "running"  # parked on disk as resumable
-        elif name == "job.done":
-            rep.state = "done"
-        elif name == "job.failed":
-            rep.state = "failed"
-            rep.error = ev.get("error")
-        elif isinstance(name, str) and name.startswith("point."):
-            stage = name.split(".", 1)[1]
-            point = int(ev.get("point", -1))
-            rep.point_states[point] = stage
-            if stage in ("completed", "cached"):
-                rep.points_done += 1
-                if stage == "cached":
-                    rep.cache_hits += 1
-            elif stage == "failed":
-                rep.failed_points += 1
+        rep.apply(ev)
     return rep
 
 

@@ -1,11 +1,15 @@
-"""Live sweep progress: counters, sliding-window throughput, ETA.
+"""Live sweep progress: in-flight points, sliding-window throughput, ETA.
 
 A :class:`ProgressTracker` consumes the same runner lifecycle events the
 run ledger records (see :mod:`repro.obs.ledger`) and keeps, per job,
-the completed/cached/failed/in-flight counts, a sliding window of
-completion timestamps for point throughput, and worker-utilization
-gauges — everything ``GET /api/v1/jobs/<id>/progress``, ``repro status
---watch`` and ``repro obs top`` render. The ETA is rate-based:
+only what the ledger does not: the set of points in flight, a sliding
+window of completion timestamps for point throughput, and the worker
+count behind the utilization gauge. The completed/cached/failed counts
+come from the job's ledger fold — the scheduler hands the tracker the
+live :class:`~repro.service.jobs.JobRecord`; standalone use folds the
+observed events into a private :class:`~repro.obs.ledger.LedgerReplay`.
+``GET /api/v1/jobs/<id>/progress``, ``repro status --watch`` and
+``repro obs top`` render the result. The ETA is rate-based:
 ``remaining / throughput`` over the window, ``None`` until at least one
 point has landed.
 
@@ -25,6 +29,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.ledger import LedgerReplay
 from repro.obs.metrics import gauge
 
 __all__ = [
@@ -43,19 +48,19 @@ _UTILIZATION = gauge("progress.worker_utilization")
 
 @dataclass
 class _JobProgress:
-    n_points: int
+    counts: LedgerReplay
+    """The job's ledger fold: the source of its point counts."""
+    folds: bool
+    """True when the tracker owns ``counts`` and folds events into it."""
     workers: int
     started_at: float
-    completed: int = 0
-    cached: int = 0
-    failed: int = 0
     in_flight: set[int] = field(default_factory=set)
     #: Completion timestamps inside the sliding throughput window.
     stamps: deque[float] = field(default_factory=lambda: deque(maxlen=4096))
 
 
 class ProgressTracker:
-    """Per-job progress state fed by runner lifecycle events.
+    """Per-job live progress fed by runner lifecycle events.
 
     ``clock`` is injectable for deterministic tests; the default is
     :func:`time.monotonic`. All methods are thread-safe — events arrive
@@ -75,10 +80,24 @@ class ProgressTracker:
 
     # -- event intake --------------------------------------------------------
 
-    def job_started(self, job_id: str, *, n_points: int, workers: int = 1) -> None:
+    def job_started(
+        self,
+        job_id: str,
+        *,
+        n_points: int,
+        workers: int = 1,
+        counts: LedgerReplay | None = None,
+    ) -> None:
+        """Start tracking ``job_id``; ``counts`` is the job's ledger fold,
+        kept current by its owner (default: a private fold of the events
+        :meth:`observe` sees)."""
         with self._lock:
             self._jobs[job_id] = _JobProgress(
-                n_points=n_points,
+                counts=(
+                    counts if counts is not None
+                    else LedgerReplay(job_id=job_id, n_points=n_points)
+                ),
+                folds=counts is None,
                 workers=max(1, workers),
                 started_at=self._clock(),
             )
@@ -87,42 +106,19 @@ class ProgressTracker:
     def observe(self, job_id: str, event: str, fields: dict[str, Any]) -> None:
         """Fold one runner lifecycle event (``point.*``) into the state."""
         point = int(fields.get("point", -1))
-        if event == "point.dispatched":
-            self.note_dispatched(job_id, point)
-        elif event == "point.completed":
-            self.note_done(job_id, point, cached=False)
-        elif event == "point.cached":
-            self.note_done(job_id, point, cached=True)
-        elif event == "point.failed":
-            self.note_failed(job_id, point)
-
-    def note_dispatched(self, job_id: str, point: int) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                job.in_flight.add(point)
-                self._set_gauges()
-
-    def note_done(self, job_id: str, point: int, *, cached: bool) -> None:
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 return
-            job.in_flight.discard(point)
-            if cached:
-                job.cached += 1
-            else:
-                job.completed += 1
-            job.stamps.append(self._clock())
-            self._set_gauges()
-
-    def note_failed(self, job_id: str, point: int) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
+            if job.folds:
+                job.counts.apply({"event": event, **fields})
+            if event == "point.dispatched":
+                job.in_flight.add(point)
+            elif event in ("point.completed", "point.cached", "point.failed"):
                 job.in_flight.discard(point)
-                job.failed += 1
-                self._set_gauges()
+                if event != "point.failed":
+                    job.stamps.append(self._clock())
+            self._set_gauges()
 
     def job_finished(self, job_id: str) -> None:
         with self._lock:
@@ -157,13 +153,13 @@ class ProgressTracker:
             elapsed = max(now - job.started_at, 1e-9)
             span = min(self.window_s, elapsed)
             throughput = recent / span if recent else 0.0
-            done = job.completed + job.cached
-            remaining = max(job.n_points - done - job.failed, 0)
+            c = job.counts
+            remaining = max(c.n_points - c.points_done - c.failed_points, 0)
             eta = remaining / throughput if throughput > 0 else None
             return {
-                "completed": job.completed,
-                "cached": job.cached,
-                "failed": job.failed,
+                "completed": c.points_done - c.cache_hits,
+                "cached": c.cache_hits,
+                "failed": c.failed_points,
                 "in_flight": len(job.in_flight),
                 "throughput_pps": round(throughput, 6),
                 "eta_s": None if eta is None else round(eta, 3),

@@ -1,10 +1,16 @@
-"""Job records and their crash-safe on-disk store.
+"""Job records: a write-once submission plus the state its ledger folds to.
 
 A job is one submitted request working through the scheduler's lifecycle
-``queued -> running -> done | failed``. The :class:`JobStore` persists
-every record as ``jobs/<job_id>.json`` (atomic temp-file + rename via
-the cache's writer), so a killed service finds its queued and half-run
-jobs at the next boot and requeues them; the points such a job already
+``queued -> running -> done | failed``. The :class:`JobStore` writes the
+immutable half of a job — its id, design-point hashes, sweep hash and
+the validated request — once, at submit, as ``jobs/<job_id>.json``
+(atomic temp-file + rename via the cache's writer), and never rewrites
+it. Everything that changes afterwards (state, point counters, error,
+release, resume count) lives only in the job's run ledger
+(:mod:`repro.obs.ledger`); a :class:`JobRecord` is the submission plus
+that ledger folded through :meth:`~repro.obs.ledger.LedgerReplay.apply`.
+A killed service therefore finds its queued and half-run jobs by
+replaying their ledgers at the next boot; the points such a job already
 completed live in the evaluation-cache checkpoint and are served as
 cache hits on the re-run instead of being simulated again.
 
@@ -19,10 +25,11 @@ import hashlib
 import json
 import pathlib
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.experiments.cache import _atomic_write_text
+from repro.obs.ledger import LedgerReplay
 from repro.obs.logs import fields, get_logger
 from repro.obs.metrics import counter
 
@@ -32,6 +39,14 @@ _log = get_logger("service.jobs")
 _SAVES = counter("jobstore.saves")
 
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: The immutable fields ``jobs/<job_id>.json`` holds.
+_SUBMISSION_KEYS = ("job_id", "n_points", "spec_hashes", "sweep_hash", "request")
+#: The job-status document's fields (plus the derived ``cache_hit_ratio``).
+_STATUS_KEYS = (
+    "job_id", "state", "n_points", "spec_hashes", "sweep_hash", "points_done",
+    "cache_hits", "duration_s", "error", "release", "resumed",
+)
 
 
 def sweep_hash(spec_hashes: list[str]) -> str:
@@ -48,31 +63,20 @@ def sweep_hash(spec_hashes: list[str]) -> str:
 
 
 @dataclass
-class JobRecord:
-    """One submission's lifecycle state (JSON-serializable)."""
+class JobRecord(LedgerReplay):
+    """One submission plus the state its ledger events fold to."""
 
-    job_id: str
-    state: str
-    n_points: int
-    spec_hashes: list[str]
-    sweep_hash: str
-    request: dict[str, Any]
+    spec_hashes: list[str] = field(default_factory=list)
+    sweep_hash: str = ""
+    request: dict[str, Any] = field(default_factory=dict)
     """The validated submit payload, verbatim (resume re-parses it)."""
-    points_done: int = 0
-    cache_hits: int = 0
-    duration_s: float | None = None
-    error: str | None = None
-    release: str | None = None
-    """Result-store release id once the job is done."""
-    resumed: int = 0
-    """How many times a restarted service re-dispatched this job."""
 
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
+    def submission_json(self) -> dict[str, Any]:
+        return {key: getattr(self, key) for key in _SUBMISSION_KEYS}
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "JobRecord":
-        return cls(**data)
+    def from_submission(cls, data: dict[str, Any]) -> "JobRecord":
+        return cls(**{key: data[key] for key in _SUBMISSION_KEYS})
 
     @property
     def cache_hit_ratio(self) -> float:
@@ -80,10 +84,10 @@ class JobRecord:
         return self.cache_hits / self.points_done if self.points_done else 0.0
 
     def status_json(self) -> dict[str, Any]:
-        """The job-status document API responses carry."""
-        doc = self.to_json()
+        """The job-status document API responses carry (no request; the
+        audit endpoint's detail view has it)."""
+        doc = {key: getattr(self, key) for key in _STATUS_KEYS}
         doc["cache_hit_ratio"] = round(self.cache_hit_ratio, 6)
-        del doc["request"]  # available via the audit endpoint's detail view
         return doc
 
 
@@ -94,11 +98,11 @@ class _Counter:
 
 
 class JobStore:
-    """Directory-backed job records with monotonic ids.
+    """Directory of write-once job submissions with monotonic ids.
 
     Ids are ``job-<NNNNNN>``, continuing from the highest id already on
-    disk so restarts never reuse one. All mutations go through
-    :meth:`save`, which writes atomically.
+    disk so restarts never reuse one. :meth:`create` writes each
+    submission exactly once, atomically, through :meth:`save`.
     """
 
     def __init__(self, root: str | pathlib.Path) -> None:
@@ -128,10 +132,9 @@ class JobStore:
         spec_hashes: list[str],
         request: dict[str, Any],
     ) -> JobRecord:
-        """Mint a queued record for a validated request and persist it."""
+        """Mint and persist the submission of a validated request."""
         record = JobRecord(
             job_id=self._next_id(),
-            state="queued",
             n_points=len(spec_hashes),
             spec_hashes=list(spec_hashes),
             sweep_hash=sweep_hash(spec_hashes),
@@ -141,37 +144,28 @@ class JobStore:
         return record
 
     def save(self, record: JobRecord) -> None:
-        """Atomically persist ``record`` (create or overwrite)."""
-        if record.state not in JOB_STATES:
-            raise ValueError(
-                f"unknown job state {record.state!r}; one of {JOB_STATES}"
-            )
+        """Atomically write ``record``'s submission (called once, by
+        :meth:`create`)."""
         _atomic_write_text(
             self._path(record.job_id),
-            json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n",
+            json.dumps(record.submission_json(), indent=2, sort_keys=True) + "\n",
         )
         _SAVES.inc()
-        _log.debug(
-            "job record saved",
-            extra=fields(job=record.job_id, state=record.state),
-        )
+        _log.debug("job submission saved", extra=fields(job=record.job_id))
 
     def get(self, job_id: str) -> JobRecord | None:
+        """The submission of ``job_id`` as a fresh (queued) record."""
         try:
             path = self._path(job_id)
         except KeyError:
             return None
         if not path.exists():
             return None
-        return JobRecord.from_json(json.loads(path.read_text()))
+        return JobRecord.from_submission(json.loads(path.read_text()))
 
     def all(self) -> list[JobRecord]:
-        """Every persisted record, oldest submission first."""
-        records = []
-        for path in sorted(self.root.glob("job-*.json")):
-            records.append(JobRecord.from_json(json.loads(path.read_text())))
-        return records
-
-    def unfinished(self) -> list[JobRecord]:
-        """Jobs a restarted service must requeue (queued or interrupted)."""
-        return [r for r in self.all() if r.state in ("queued", "running")]
+        """Every submission as a fresh record, oldest first."""
+        return [
+            JobRecord.from_submission(json.loads(path.read_text()))
+            for path in sorted(self.root.glob("job-*.json"))
+        ]

@@ -14,8 +14,13 @@ threads only enqueue and read). That gives three properties for free:
 * **checkpointed progress** — every completed point is flushed into the
   on-disk cache checkpoint (atomic, lock-guarded), so a killed service
   resumes a half-done job as cache hits instead of recomputing;
-* **simple consistency** — job records mutate on one thread; readers
-  take a snapshot under the registry lock.
+* **one record of job state** — a job's state lives in its append-only
+  run ledger (``ledger/<job_id>.ndjson``) next to the write-once
+  submission (``jobs/<job_id>.json``). Every transition goes through
+  :meth:`ExperimentScheduler._event`, which appends the event and folds
+  the line written into the in-memory record under the registry lock;
+  a restart replays each ledger through the same fold, then resumes the
+  jobs it left queued or running. Readers take snapshots under the lock.
 
 Finished jobs publish their metrics as a versioned release in the
 byte-deterministic :class:`~repro.service.results.ResultStore`.
@@ -31,11 +36,14 @@ registry every ``sample_interval`` seconds into a bounded
 
 from __future__ import annotations
 
+import copy
 import math
 import pathlib
 import threading
 import time
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 from typing import Any
 
 from repro.experiments import EvaluationCache, Runner, Scenario
@@ -100,8 +108,9 @@ class ExperimentScheduler:
     """Background job execution over a persistent state directory.
 
     ``state_dir`` owns everything the service must survive a restart
-    with: the evaluation-cache checkpoint (``cache.json``), job records
-    (``jobs/``) and result releases (``releases/``). ``jobs`` is the
+    with: the evaluation-cache checkpoint (``cache.json``), job
+    submissions (``jobs/``), their run ledgers (``ledger/``) and result
+    releases (``releases/``). ``jobs`` is the
     per-job worker ceiling handed to the runner (a request's own
     ``"jobs"`` hint is clamped to it). ``auto_start=False`` leaves the
     dispatcher stopped — used by tests that stage a "killed mid-run"
@@ -145,8 +154,9 @@ class ExperimentScheduler:
         # for wait() until their spans are stored.
         self._executing: set[str] = set()
         self._trace_parents: dict[str, str | None] = {}
-        # Sweep introspection: the durable per-job run ledger, the live
-        # progress tracker, and per-point profile captures (opt-in).
+        # Sweep introspection: the durable per-job run ledger (open for
+        # writing only while its job submits, requeues or executes), the
+        # live progress tracker, and per-point profile captures (opt-in).
         self.ledger_dir = self.state_dir / "ledger"
         self._ledgers: dict[str, RunLedger] = {}
         self.tracker = ProgressTracker()
@@ -164,11 +174,16 @@ class ExperimentScheduler:
             self.series, interval_s=sample_interval, slo=self.slo
         )
 
+        # Replay, then resume: each submission's state is its ledger
+        # folded; a job left queued or running is requeued (the fold of
+        # job.requeued resets its counters) and re-dispatched from the
+        # top, its checkpointed points returning as cache hits.
         for record in self.job_store.all():
             self._records[record.job_id] = record
+            path = self._ledger_path(record.job_id)
+            for ev in load_ledger(path) if path.exists() else ():
+                record.apply(ev)
             if record.state in ("queued", "running"):
-                # A restart re-dispatches interrupted work from the top;
-                # the points it already checkpointed return as cache hits.
                 _log.info(
                     "boot-requeue of interrupted job",
                     extra=fields(
@@ -177,16 +192,12 @@ class ExperimentScheduler:
                         resumed=record.resumed + 1,
                     ),
                 )
-                record.state = "queued"
-                record.points_done = 0
-                record.cache_hits = 0
-                record.resumed += 1
-                self.job_store.save(record)
+                with self._ledger_open(record.job_id):
+                    self._event(
+                        record.job_id, "job.requeued", resumed=record.resumed + 1
+                    )
                 self._queue.append(record.job_id)
                 self._enqueued_at[record.job_id] = time.monotonic()
-                self._ledger(record.job_id).append(
-                    "job.requeued", resumed=record.resumed
-                )
                 _REQUEUED.inc()
         _QUEUE_DEPTH.set(len(self._queue))
         if auto_start:
@@ -238,22 +249,30 @@ class ExperimentScheduler:
                 "metrics history save failed",
                 extra=fields(path=str(self.history_path), error=str(exc)),
             )
+
+    def _ledger_path(self, job_id: str) -> pathlib.Path:
+        return self.ledger_dir / f"{job_id}.ndjson"
+
+    @contextmanager
+    def _ledger_open(self, job_id: str) -> Iterator[None]:
+        """Hold the job's ledger open for :meth:`_event` over the block."""
+        ledger = RunLedger(self._ledger_path(job_id), job_id=job_id)
         with self._lock:
-            ledgers = list(self._ledgers.values())
-            self._ledgers.clear()
-        for ledger in ledgers:
+            self._ledgers[job_id] = ledger
+        try:
+            yield
+        finally:
+            with self._lock:
+                del self._ledgers[job_id]
             ledger.close()
 
-    def _ledger(self, job_id: str) -> RunLedger:
-        """Get-or-open the job's run ledger (``ledger/<job_id>.ndjson``)."""
+    def _event(self, job_id: str, name: str, **fields: Any) -> None:
+        """Record one job event: append it to the job's open ledger and
+        fold the line written into the in-memory record — the only way
+        a record changes after submit."""
         with self._lock:
-            ledger = self._ledgers.get(job_id)
-            if ledger is None:
-                ledger = RunLedger(
-                    self.ledger_dir / f"{job_id}.ndjson", job_id=job_id
-                )
-                self._ledgers[job_id] = ledger
-            return ledger
+            ev = self._ledgers[job_id].append(name, **fields)
+            self._records[job_id].apply(ev)
 
     # -- submission & queries ------------------------------------------------
 
@@ -267,24 +286,30 @@ class ExperimentScheduler:
         it as parent so a merged client+server trace nests correctly.
         """
         parsed = parse_request(doc)
-        with self._lock:
-            record = self.job_store.create(
-                spec_hashes=parsed.spec_hashes, request=parsed.payload
-            )
-            self._records[record.job_id] = record
-            self._scenarios[record.job_id] = parsed.scenarios
-            self._queue.append(record.job_id)
-            self._enqueued_at[record.job_id] = time.monotonic()
-            self._trace_parents[record.job_id] = trace_parent
-            _QUEUE_DEPTH.set(len(self._queue))
-        ledger = self._ledger(record.job_id)
-        ledger.append(
-            "job.submitted",
-            n_points=record.n_points,
-            sweep=record.sweep_hash,
+        record = self.job_store.create(
+            spec_hashes=parsed.spec_hashes, request=parsed.payload
         )
-        for i in range(record.n_points):
-            ledger.append("point.queued", point=i)
+        job_id = record.job_id
+        with self._lock:
+            self._records[job_id] = record
+            self._scenarios[job_id] = parsed.scenarios
+        # The submit events land before the job is queued, so the
+        # dispatcher never writes to the ledger while submit still does.
+        with self._ledger_open(job_id):
+            self._event(
+                job_id,
+                "job.submitted",
+                n_points=record.n_points,
+                sweep=record.sweep_hash,
+            )
+            for i in range(record.n_points):
+                self._event(job_id, "point.queued", point=i)
+        with self._lock:
+            self._queue.append(job_id)
+            self._enqueued_at[job_id] = time.monotonic()
+            self._trace_parents[job_id] = trace_parent
+            _QUEUE_DEPTH.set(len(self._queue))
+            snapshot = self._snapshot(record)
         _SUBMITTED.inc()
         _log.info(
             "job submitted",
@@ -295,7 +320,7 @@ class ExperimentScheduler:
             ),
         )
         self._wake.set()
-        return self._snapshot(record)
+        return snapshot
 
     def job(self, job_id: str) -> JobRecord:
         """Current state of one job (a snapshot; raises JobNotFound)."""
@@ -451,40 +476,36 @@ class ExperimentScheduler:
     def progress_json(self, job_id: str) -> dict[str, Any]:
         """The ``/api/v1/jobs/<id>/progress`` document.
 
-        Counts come from the job record; while the job runs, the live
-        tracker adds in-flight/throughput/ETA/utilization. Terminal
-        jobs report an ETA of 0 (done) or None (failed) and their
-        realized overall throughput.
+        Counts come from the job record (its ledger fold); while the
+        job runs, the live tracker adds in-flight/throughput/ETA/
+        utilization. Terminal jobs report an ETA of 0 (done) or None
+        (failed) and their realized overall throughput.
         """
         record = self.job(job_id)
         done = record.points_done
         n = record.n_points
-        doc: dict[str, Any] = {
-            "job_id": record.job_id,
-            "state": record.state,
-            "n_points": n,
-            "points_done": done,
-            "cache_hits": record.cache_hits,
-            "pct": round(100.0 * done / n, 2) if n else 0.0,
-            "resumed": record.resumed,
+        doc = self.tracker.snapshot(job_id) or {
+            "in_flight": 0,
+            "eta_s": 0.0 if record.state == "done" else None,
+            "elapsed_s": record.duration_s,
+            "throughput_pps": (
+                round(n / record.duration_s, 6)
+                if record.state == "done" and record.duration_s
+                else None
+            ),
         }
-        snap = self.tracker.snapshot(job_id)
-        if snap is not None:
-            doc.update(snap)
-        else:
-            doc.update(
-                completed=done - record.cache_hits,
-                cached=record.cache_hits,
-                failed=0,
-                in_flight=0,
-                eta_s=0.0 if record.state == "done" else None,
-                elapsed_s=record.duration_s,
-                throughput_pps=(
-                    round(n / record.duration_s, 6)
-                    if record.state == "done" and record.duration_s
-                    else None
-                ),
-            )
+        doc.update(
+            job_id=record.job_id,
+            state=record.state,
+            n_points=n,
+            points_done=done,
+            cache_hits=record.cache_hits,
+            pct=round(100.0 * done / n, 2) if n else 0.0,
+            resumed=record.resumed,
+            completed=done - record.cache_hits,
+            cached=record.cache_hits,
+            failed=record.failed_points,
+        )
         return doc
 
     def profile_json(
@@ -524,7 +545,7 @@ class ExperimentScheduler:
         with self._lock:
             if job_id not in self._records:
                 raise JobNotFound(job_id)
-        path = self.ledger_dir / f"{job_id}.ndjson"
+        path = self._ledger_path(job_id)
         if not path.exists():
             return []
         return load_ledger(path)
@@ -596,7 +617,7 @@ class ExperimentScheduler:
     # -- dispatcher ----------------------------------------------------------
 
     def _snapshot(self, record: JobRecord) -> JobRecord:
-        return JobRecord.from_json(record.to_json())
+        return copy.deepcopy(record)
 
     def _execute(self, job_id: str) -> None:
         """Run one job inside a ``service.job`` span; capture its trace."""
@@ -611,7 +632,7 @@ class ExperimentScheduler:
         # job's trace joins the caller's tree when merged client-side.
         adopt_parent(trace_parent)
         try:
-            with span("service.job", job=job_id):
+            with span("service.job", job=job_id), self._ledger_open(job_id):
                 self._execute_inner(job_id)
         finally:
             adopt_parent(None)
@@ -623,12 +644,9 @@ class ExperimentScheduler:
                 self._executing.discard(job_id)
 
     def _execute_inner(self, job_id: str) -> None:
+        self._event(job_id, "job.running")
         with self._lock:
             record = self._records[job_id]
-            record.state = "running"
-            self.job_store.save(record)
-        ledger = self._ledger(job_id)
-        ledger.append("job.running")
         _log.info(
             "job state change",
             extra=fields(job=job_id, state="running", points=record.n_points),
@@ -639,11 +657,7 @@ class ExperimentScheduler:
             # A persisted request this server build can no longer parse
             # (e.g. a family removed between versions) fails the job
             # instead of wedging the dispatcher.
-            with self._lock:
-                record.state = "failed"
-                record.error = str(exc)
-                self.job_store.save(record)
-            ledger.append("job.failed", error=str(exc))
+            self._event(job_id, "job.failed", error=str(exc))
             _FAILED.inc()
             _log.warning(
                 "job failed to parse",
@@ -657,11 +671,12 @@ class ExperimentScheduler:
         tracker = self.tracker
 
         def observe(event: dict[str, Any]) -> None:
-            # Runner lifecycle events land in the durable ledger and the
-            # live progress tracker; both run on the sweep drive thread.
+            # Runner lifecycle events land in the durable ledger (and so
+            # the record's counters) and the live progress tracker; both
+            # run on the sweep drive thread.
             ev = dict(event)
             name = ev.pop("event")
-            ledger.append(name, **ev)
+            self._event(job_id, name, **ev)
             tracker.observe(job_id, name, ev)
 
         runner = Runner(
@@ -676,7 +691,7 @@ class ExperimentScheduler:
         profiles = self._profiles.setdefault(job_id, [])
         profiles.clear()
         tracker.job_started(
-            job_id, n_points=record.n_points, workers=runner_jobs
+            job_id, n_points=record.n_points, workers=runner_jobs, counts=record
         )
         handle = runner.submit(scenarios)
         try:
@@ -687,13 +702,9 @@ class ExperimentScheduler:
                         for res in fresh:
                             metrics.append(res.metrics)
                             profiles.append(res.profile)
-                            record.points_done += 1
-                            record.cache_hits += bool(res.cached)
                     _POINTS.inc(len(fresh))
                     # Checkpoint: completed points survive a kill -9.
                     self.cache.flush(self.cache_path)
-                    with self._lock:
-                        self.job_store.save(record)
                     continue
                 if handle.done:
                     break
@@ -701,24 +712,23 @@ class ExperimentScheduler:
                     handle.cancel()
                 handle.wait(self._poll_interval)
         except Exception as exc:
-            with self._lock:
-                record.state = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-                record.duration_s = round(time.perf_counter() - started, 6)
-                self.job_store.save(record)
-            ledger.append("job.failed", error=record.error)
+            error = f"{type(exc).__name__}: {exc}"
+            self._event(
+                job_id,
+                "job.failed",
+                error=error,
+                duration_s=round(time.perf_counter() - started, 6),
+            )
             _FAILED.inc()
             _log.error(
                 "job failed",
-                extra=fields(job=job_id, state="failed", error=record.error),
+                extra=fields(job=job_id, state="failed", error=error),
             )
             return
         if len(metrics) < record.n_points:
-            # Interrupted by stop(): leave the record 'running' on disk so
-            # the next boot requeues it from the checkpointed cache.
-            with self._lock:
-                self.job_store.save(record)
-            ledger.append("job.interrupted", points_done=record.points_done)
+            # Interrupted by stop(): the ledger leaves the job 'running',
+            # so the next boot requeues it from the checkpointed cache.
+            self._event(job_id, "job.interrupted", points_done=record.points_done)
             _log.info(
                 "job interrupted; parked for resume",
                 extra=fields(
@@ -733,16 +743,13 @@ class ExperimentScheduler:
             metrics=metrics,
             spec_hashes=record.spec_hashes,
         )
-        with self._lock:
-            record.state = "done"
-            record.release = release.release_id
-            record.duration_s = round(time.perf_counter() - started, 6)
-            self.job_store.save(record)
-        ledger.append(
+        self._event(
+            job_id,
             "job.done",
             points_done=record.points_done,
             cache_hits=record.cache_hits,
-            duration_s=record.duration_s,
+            duration_s=round(time.perf_counter() - started, 6),
+            release=release.release_id,
         )
         _DONE.inc()
         _log.info(

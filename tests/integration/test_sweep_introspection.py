@@ -98,9 +98,9 @@ class TestLedgerEndToEnd:
 
     def test_killed_service_replay_matches_resumed_record(self, tmp_path):
         state = tmp_path / "state"
-        # Stage the remains of a service killed mid-job: record parked as
-        # 'running', first point checkpointed in the cache, and a ledger
-        # that recorded the first point's lifecycle before dying mid-append
+        # Stage the remains of a service killed mid-job: first point
+        # checkpointed in the cache, and a ledger that recorded the job
+        # running and the first point's lifecycle before dying mid-append
         # (an unterminated final line — the worst crash the line-atomic
         # writer can leave behind).
         cold = ExperimentScheduler(state, auto_start=False)
@@ -110,11 +110,7 @@ class TestLedgerEndToEnd:
         half = EvaluationCache()
         Runner(cache=half).run(scenarios[:1])
         half.flush(cold.cache_path)
-        stored = cold.job_store.get(job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
-        cold.stop()  # closes the submit-time ledger handle
+        cold.stop()
 
         ledger_path = state / "ledger" / f"{job_id}.ndjson"
         with RunLedger(ledger_path, job_id=job_id) as staged:

@@ -1,6 +1,8 @@
 """Unit tests for the experiment service: schema, jobs, results, scheduler."""
 
 import json
+import os
+import pathlib
 import time
 
 import numpy as np
@@ -12,6 +14,7 @@ from repro.experiments import (
     scenario_family,
     scenario_to_json,
 )
+from repro.obs import RunLedger, replay_ledger
 from repro.service import (
     ExperimentApi,
     ExperimentScheduler,
@@ -142,21 +145,29 @@ class TestJobStore:
         c = reopened.create(spec_hashes=["0" * 64], request={})
         assert c.job_id == "job-000003"
 
-    def test_round_trip_and_unfinished(self, tmp_path):
+    def test_round_trip_reads_back_the_submission(self, tmp_path):
         store = JobStore(tmp_path)
         rec = store.create(spec_hashes=["a" * 64, "b" * 64], request={"version": 1})
-        assert store.get(rec.job_id).n_points == 2
-        assert [r.job_id for r in store.unfinished()] == [rec.job_id]
-        rec.state = "done"
-        store.save(rec)
-        assert store.unfinished() == []
+        back = store.get(rec.job_id)
+        assert back.n_points == 2
+        assert back.spec_hashes == rec.spec_hashes
+        assert back.sweep_hash == sweep_hash(rec.spec_hashes)
+        assert back.request == {"version": 1}
+        # A fresh submission folds no events yet: it reads as queued.
+        assert (back.state, back.points_done, back.resumed) == ("queued", 0, 0)
+        assert [r.job_id for r in store.all()] == [rec.job_id]
 
-    def test_bad_state_rejected(self, tmp_path):
+    def test_job_state_never_reaches_the_store(self, tmp_path):
         store = JobStore(tmp_path)
         rec = store.create(spec_hashes=["a" * 64], request={})
         rec.state = "exploded"
-        with pytest.raises(ValueError, match="unknown job state"):
-            store.save(rec)
+        rec.points_done = 1
+        store.save(rec)
+        doc = json.loads((tmp_path / f"{rec.job_id}.json").read_text())
+        assert set(doc) == {
+            "job_id", "n_points", "spec_hashes", "sweep_hash", "request",
+        }
+        assert store.get(rec.job_id).state == "queued"
 
     def test_traversal_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)
@@ -314,17 +325,18 @@ class TestScheduler:
 
     def test_restart_resumes_checkpointed_job(self, tmp_path):
         # Stage a "killed mid-run" service: the cache checkpoint holds the
-        # first point, the job record is still 'running' on disk.
+        # first point, the job's ledger leaves it 'running'.
         cold = ExperimentScheduler(tmp_path, auto_start=False)
         record = cold.submit(quick_request())
         scenarios = scenario_family("saturation-sweep", **QUICK)
         warm_cache = EvaluationCache()
         Runner(cache=warm_cache).run(scenarios[:1])
         warm_cache.flush(cold.cache_path)
-        stored = cold.job_store.get(record.job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
+        cold.stop()
+        # The ledger of the killed run: started, first point completed.
+        with RunLedger(cold.ledger_dir / f"{record.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
 
         reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
@@ -352,10 +364,11 @@ class TestScheduler:
         warm_cache = EvaluationCache()
         Runner(cache=warm_cache).run(scenarios[:1])
         warm_cache.flush(cold.cache_path)
-        stored = cold.job_store.get(record.job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
+        cold.stop()
+        # The ledger of the killed run: started, first point completed.
+        with RunLedger(cold.ledger_dir / f"{record.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
 
         reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
@@ -363,7 +376,7 @@ class TestScheduler:
         finally:
             reborn.stop()
         counters = metrics_snapshot()["counters"]
-        records = reborn.job_store.all()
+        records = reborn.audit()
         assert counters["scheduler.jobs.submitted"] == 1
         assert counters["scheduler.jobs.requeued"] == 1
         assert (
@@ -444,6 +457,64 @@ class TestScheduler:
             assert resumed.points_done == resumed.n_points == 2
         finally:
             reborn.stop()
+
+    def test_submission_saved_once_and_record_is_the_ledger_fold(
+        self, tmp_path, monkeypatch
+    ):
+        saves = []
+        real_save = JobStore.save
+
+        def counting_save(store, record):
+            saves.append(record.job_id)
+            real_save(store, record)
+
+        monkeypatch.setattr(JobStore, "save", counting_save)
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            ids = [sched.submit(quick_request()).job_id for _ in range(2)]
+            for job_id in ids:
+                sched.wait(job_id, timeout=120)
+        finally:
+            sched.stop()
+        parked = ExperimentScheduler(tmp_path, auto_start=False)
+        ids.append(parked.submit(quick_request()).job_id)
+        parked.stop()
+        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            reborn.wait(ids[-1], timeout=120)
+            # One write per job, at submit; execution and requeue add none.
+            assert saves == ids
+            for job_id in ids:
+                record = reborn.job(job_id)
+                rep = replay_ledger(reborn.ledger_events(job_id))
+                assert record.state == rep.state == "done"
+                for key in (
+                    "points_done", "cache_hits", "failed_points", "resumed",
+                    "error", "duration_s", "release", "point_states",
+                ):
+                    assert getattr(record, key) == getattr(rep, key)
+            assert reborn.job(ids[-1]).resumed == 1
+        finally:
+            reborn.stop()
+
+    def test_finished_jobs_hold_no_ledger_handle(self, tmp_path):
+        fd_dir = pathlib.Path("/proc/self/fd")
+
+        def open_fds():
+            return len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            sched.wait(sched.submit(quick_request()).job_id, timeout=120)
+            assert sched._ledgers == {}
+            baseline = open_fds()
+            for _ in range(8):
+                sched.wait(sched.submit(quick_request()).job_id, timeout=120)
+            assert sched._ledgers == {}
+            if baseline is not None:
+                assert open_fds() <= baseline
+        finally:
+            sched.stop()
 
     def test_job_spans_capture_the_runner_trace(self, tmp_path):
         from repro.obs import export_trace
