@@ -49,7 +49,7 @@ import argparse
 import math
 import pathlib
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -901,7 +901,7 @@ def _print_job(job: dict, *, as_json: bool) -> None:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import REQUEST_VERSION, ServiceError
+    from repro.service import REQUEST_VERSION
 
     if args.spec:
         request = json.loads(pathlib.Path(args.spec).read_text())
@@ -921,58 +921,65 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.profile:
         request["profile"] = True
     client = _service_client(args)
-    try:
-        job = client.submit(request)
-        if args.wait:
-            job = client.wait(
-                job["job_id"], timeout=args.timeout, poll=args.poll_interval
-            )
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+    job = client.submit(request)
+    if args.wait:
+        job = client.wait(
+            job["job_id"], timeout=args.timeout, poll=args.poll_interval
+        )
     _print_job(job, as_json=args.json)
     return 0 if job["state"] != "failed" else 1
 
 
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
+def _watch(
+    render: Callable[[int], int | None], *, interval: float, count: int
+) -> int:
+    """Call ``render(shown)`` every ``interval`` seconds.
+
+    ``render`` returns an exit code to stop with, or None to go on. The
+    loop also stops (exit 0) after ``count`` renders when ``count`` is
+    non-zero, and on Ctrl-C.
+    """
     import time as _time
 
-    from repro.service import ServiceError
+    shown = 0
+    while True:
+        rc = render(shown)
+        shown += 1
+        if rc is not None:
+            return rc
+        if count and shown >= count:
+            return 0
+        try:
+            _time.sleep(interval)
+        except KeyboardInterrupt:
+            return 0
+
+
+def _cmd_status(args: argparse.Namespace) -> int:
+    import json
 
     if args.poll_interval <= 0:
         print("error: --poll-interval must be > 0 seconds", file=sys.stderr)
         return 2
     client = _service_client(args)
-    try:
-        if args.watch:
-            from repro.obs import render_progress_line
+    if args.watch:
+        from repro.obs import render_progress_line
 
-            shown = 0
-            while True:
-                doc = client.progress(args.job_id)
-                if args.json:
-                    print(json.dumps(doc, sort_keys=True))
-                else:
-                    print(render_progress_line(doc))
-                shown += 1
-                if doc["state"] in ("done", "failed"):
-                    return 0 if doc["state"] != "failed" else 1
-                if args.watch_count and shown >= args.watch_count:
-                    return 0
-                try:
-                    _time.sleep(args.poll_interval)
-                except KeyboardInterrupt:
-                    return 0
-        if args.wait:
-            job = client.wait(
-                args.job_id, timeout=args.timeout, poll=args.poll_interval
-            )
-        else:
-            job = client.status(args.job_id)
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+        def render(_shown: int) -> int | None:
+            doc = client.progress(args.job_id)
+            if args.json:
+                print(json.dumps(doc, sort_keys=True))
+            else:
+                print(render_progress_line(doc))
+            if doc["state"] in ("done", "failed"):
+                return 0 if doc["state"] != "failed" else 1
+            return None
+
+        return _watch(render, interval=args.poll_interval, count=args.watch_count)
+    if args.wait:
+        job = client.wait(args.job_id, timeout=args.timeout, poll=args.poll_interval)
+    else:
+        job = client.status(args.job_id)
     _print_job(job, as_json=args.json)
     return 0 if job["state"] != "failed" else 1
 
@@ -980,18 +987,12 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_fetch(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import ServiceError
-
     client = _service_client(args)
-    try:
-        if args.out:
-            payload = client.result_npz(args.job_id, out=args.out)
-            print(f"wrote {len(payload)} bytes to {args.out}")
-            return 0
-        doc = client.result(args.job_id)
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        payload = client.result_npz(args.job_id, out=args.out)
+        print(f"wrote {len(payload)} bytes to {args.out}")
+        return 0
+    doc = client.result(args.job_id)
     if args.json:
         print(json.dumps(doc, sort_keys=True))
         return 0
@@ -1021,15 +1022,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import format_eta
-    from repro.service import ServiceError
     from repro.util import format_table
 
-    client = _service_client(args)
-    try:
-        doc = client.jobs(state=args.state)
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+    doc = _service_client(args).jobs(state=args.state)
     if args.json:
         print(json.dumps(doc, sort_keys=True))
         return 0
@@ -1084,9 +1079,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     import json
-    import time as _time
 
-    from repro.service import ServiceError
     from repro.util import format_table
 
     if args.json and (args.prom or args.watch is not None):
@@ -1111,13 +1104,9 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
             f"n={h['count']} sum={h['sum']:.3f} p50={p50:.3g} p99={p99:.3g}",
         ]
 
-    def _render(clear: bool) -> int:
-        try:
-            doc = client.metrics()
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 2
-        if clear:
+    def render(shown: int) -> None:
+        doc = client.metrics()
+        if shown:
             print("\x1b[2J\x1b[H", end="")
         if args.prom:
             # The same formatter the server's root /metrics uses, run
@@ -1125,10 +1114,10 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
             from repro.obs import render_prometheus
 
             print(render_prometheus(doc["metrics"]), end="")
-            return 0
+            return
         if args.json:
             print(json.dumps(doc, sort_keys=True))
-            return 0
+            return
         metrics = doc["metrics"]
         rows = [
             ["counter", name, value]
@@ -1150,30 +1139,18 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
             f"shared cache: {cache['size']} entries "
             f"({cache['hits']} hits / {cache['misses']} misses this run)"
         )
-        return 0
 
     if args.watch is None:
-        return _render(clear=False)
+        render(0)
+        return 0
     if args.watch <= 0:
         print("error: --watch interval must be > 0 seconds", file=sys.stderr)
         return 2
-    shown = 0
-    while True:
-        rc = _render(clear=shown > 0)
-        if rc:
-            return rc
-        shown += 1
-        if args.watch_count and shown >= args.watch_count:
-            return 0
-        try:
-            _time.sleep(args.watch)
-        except KeyboardInterrupt:
-            return 0
+    return _watch(render, interval=args.watch, count=args.watch_count)
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     import json
-    import time as _time
 
     from repro.obs import render_top
     from repro.service import ServiceError
@@ -1197,13 +1174,8 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             for i in range(1, len(pts))
         ]
 
-    shown = 0
-    while True:
-        try:
-            doc = client.jobs()
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 2
+    def render(shown: int) -> None:
+        doc = client.jobs()
         # Flatten each job's live `progress` sub-document into the row
         # shape render_top consumes (the /progress endpoint shape).
         flat = []
@@ -1217,27 +1189,16 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             if shown:
                 print("\x1b[2J\x1b[H", end="")
             print(render_top(flat, sparkline=_completion_deltas()))
-        shown += 1
-        if args.count and shown >= args.count:
-            return 0
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:
-            return 0
+
+    return _watch(render, interval=args.interval, count=args.count)
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import ServiceError
     from repro.util import format_table
 
-    client = _service_client(args)
-    try:
-        doc = client.alerts()
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+    doc = _service_client(args).alerts()
     if args.json:
         print(json.dumps(doc, sort_keys=True))
         return 1 if doc["firing"] else 0
@@ -1276,14 +1237,9 @@ def _cmd_obs_slo(args: argparse.Namespace) -> int:
 def _cmd_obs_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import ServiceError
-
-    client = _service_client(args)
-    try:
-        doc = client.spans(args.job_id, deterministic=args.deterministic)
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
+    doc = _service_client(args).spans(
+        args.job_id, deterministic=args.deterministic
+    )
     if args.json:
         print(json.dumps(doc, sort_keys=True))
         return 0
@@ -1321,14 +1277,10 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
 
     if args.job:
         from repro.obs import SweepProfile, render_sweep_profile
-        from repro.service import ServiceError
 
-        client = _service_client(args)
-        try:
-            doc = client.profile(args.job, deterministic=args.deterministic)
-        except ServiceError as exc:
-            print(f"error ({exc.code}): {exc}", file=sys.stderr)
-            return 2
+        doc = _service_client(args).profile(
+            args.job, deterministic=args.deterministic
+        )
         if args.json or args.deterministic:
             # The deterministic form drops every timing field, so JSON
             # is its only rendering.
@@ -1748,7 +1700,7 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument(
         "--state-dir",
         default=".repro-service",
-        help="job records, shared cache and npz releases live here; "
+        help="job submissions and ledgers, shared cache and npz releases live here; "
         "a restarted service resumes unfinished jobs from it",
     )
     psv.add_argument(
@@ -1997,5 +1949,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Domain validation (bad --jobs, --hops, rates, ...) should read
         # as a usage error, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # A service command's request failed (HTTP error or unreachable).
+        from repro.service import ServiceError
+
+        if not isinstance(exc, ServiceError):
+            raise
+        print(f"error ({exc.code}): {exc}", file=sys.stderr)
         return 2
     return 0 if rc is None else int(rc)
