@@ -7,8 +7,8 @@ byte-deterministic npz releases. Five pillars:
 
 * :mod:`repro.service.schema` — the canonical, versioned submit-request
   schema; violations become structured 400 bodies;
-* :mod:`repro.service.jobs` — job lifecycle records persisted per job
-  for kill/restart resume;
+* :mod:`repro.service.jobs` — write-once job submissions; a job's
+  state is its run ledger folded, replayed for kill/restart resume;
 * :mod:`repro.service.scheduler` — a single dispatcher thread feeding
   the existing :class:`~repro.experiments.Runner` via its
   ``submit``/``poll`` seam, checkpointing every completed point into a

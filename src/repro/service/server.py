@@ -518,7 +518,7 @@ def serve(
     try:
         # Supervisors stop services with SIGTERM: fold it into the
         # KeyboardInterrupt path so the scheduler still saves the
-        # metrics history and job records on the way down. Only the
+        # metrics history and parks a running job on the way down. Only the
         # main thread may install handlers; embedded callers (tests
         # running serve() in a thread) keep their own signal setup.
         signal.signal(signal.SIGTERM, _raise_interrupt)
